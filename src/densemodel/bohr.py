@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ResourceError, ValidationError
 from .majorants import Majorant
-from .signals import DiscreteSignal, FrequencyGrid, grid_fourier
+from .signals import DiscreteSignal, FrequencyGrid, grid_fourier, grid_fourier_rounding
 
 M_CAP_DEFAULT = 1 << 22
 MEMBERSHIP_TOL = 1e-12
@@ -52,8 +52,11 @@ def spectrum(f: DiscreteSignal, nu: Majorant, eta: float,
              m_cap: int = M_CAP_DEFAULT, strict: bool = False) -> SpectrumSet:
     """Intervals of the eta-level spectrum of f, at grid size M = ceil(4 pi N / eta).
 
-    Each included interval's representative is its grid point, which by
-    construction satisfies |fhat| >= eta * ||nu||_1 there.
+    A grid point is included when its FFT value satisfies |fhat| >= threshold
+    - rho, with rho the `grid_fourier_rounding` bound, so no point whose exact
+    |fhat| reaches eta * ||nu||_1 is lost to rounding (f = nu, eta = 1 puts
+    frequency 0 exactly on the threshold).  An extra point within rho below
+    the threshold only shrinks the Bohr set built on the representatives.
     """
     if not 0 < eta <= 1:
         raise ValidationError("spectrum needs 0 < eta <= 1")
@@ -66,8 +69,9 @@ def spectrum(f: DiscreteSignal, nu: Majorant, eta: float,
         M = m_cap
         capped = True
     threshold = eta * nu.l1_mass
-    mods = np.abs(grid_fourier(f, FrequencyGrid(M)))
-    idx = np.nonzero(mods >= threshold)[0]
+    grid = FrequencyGrid(M)
+    mods = np.abs(grid_fourier(f, grid))
+    idx = np.nonzero(mods >= threshold - grid_fourier_rounding(f, grid))[0]
     return SpectrumSet(threshold=threshold, eta=eta, M=M,
                        interval_indices=idx, representatives=idx / M,
                        capped=capped)

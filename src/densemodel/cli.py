@@ -196,10 +196,12 @@ def cmd_pipeline(args) -> None:
         cfg.tol = args.tol
     if args.variant:
         cfg.variant = args.variant
-    if args.out:
-        cfg.output = args.out
     cfg.strict = cfg.strict or args.strict
     report = pipeline.run_pipeline(cfg)
+    # written here, not through cfg.output, so the path stays out of the report
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(report.to_json())
     sys.stdout.write(report.to_json())
     if not report.ok:
         raise CertificationError("pipeline report contains failed inequalities")
@@ -299,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", default="")
     p.add_argument("--out", default="", help="write the JSON report here")
     _add_common(p)
-    p.set_defaults(fn=cmd_pipeline)
+    # no --seed keeps the config file's seed (0 without a file)
+    p.set_defaults(fn=cmd_pipeline, seed=None)
 
     return parser
 

@@ -208,13 +208,17 @@ class TransferErrorReport:
 
 
 def transfer_error_bound(form: LinearForm, f: DiscreteSignal, g: DiscreteSignal,
-                         grid: FrequencyGrid | None = None) -> TransferErrorReport:
+                         grid: FrequencyGrid | None = None,
+                         count_f: float | None = None,
+                         count_g: float | None = None) -> TransferErrorReport:
     """Delta = sup_err * s * max(||.||_2)^2 * max(||.||_1)^(s-3).
 
     Telescoping over positions: one factor takes the certified sup error, two
     take Cauchy-Schwarz in L^2 (dilation by a nonzero integer preserves the
     circle L^2 norm), the rest are bounded in sup by the L^1 norm.  The counts
-    on both sides are computed and the inequality checked on the instance.
+    on both sides are computed, unless the caller passes the totals of
+    `count_weighted(form, [f] * s)` and `[g] * s` it already holds, and the
+    inequality is checked on the instance.
     """
     if grid is None:
         span = max(f.support_hi, g.support_hi) - min(f.support_lo, g.support_lo) + 1
@@ -224,8 +228,8 @@ def transfer_error_bound(form: LinearForm, f: DiscreteSignal, g: DiscreteSignal,
     m1 = max(lp_norm(f, 1), lp_norm(g, 1))
     s = form.s
     delta = sup_err * s * m2 ** 2 * m1 ** (s - 3)
-    cf = count_weighted(form, [f] * s).total
-    cg = count_weighted(form, [g] * s).total
+    cf = count_weighted(form, [f] * s).total if count_f is None else count_f
+    cg = count_weighted(form, [g] * s).total if count_g is None else count_g
     lhs = abs(cf - cg)
     ok = lhs <= delta * (1 + 1e-9) + 1e-9
     return TransferErrorReport(delta=delta, sup_err=sup_err,
@@ -317,25 +321,16 @@ class ComparisonReport:
 
 
 def count_comparison(form: LinearForm, g: DiscreteSignal,
-                     threshold: ThresholdReport) -> ComparisonReport:
-    """Certifies count(g) >= (delta/2)^s count(1_B): g >= (delta/2) 1_B pointwise."""
+                     threshold: ThresholdReport,
+                     count_g: float | None = None) -> ComparisonReport:
+    """Certifies count(g) >= (delta/2)^s count(1_B): g >= (delta/2) 1_B pointwise.
+
+    count_g, when given, is the caller's total of `count_weighted(form, [g] * s)`.
+    """
     s = form.s
-    cg = count_weighted(form, [g] * s).total
+    cg = count_weighted(form, [g] * s).total if count_g is None else count_g
     ind = threshold.indicator()
     cb = count_weighted(form, [ind] * s).total
     factor = (threshold.delta / 2.0) ** s
     ok = cg >= factor * cb * (1 - 1e-9) - 1e-9
     return ComparisonReport(count_g=cg, count_indicator=cb, factor=factor, ok=ok)
-
-
-def bloom_constant(delta: float, s: int, eps_param: float, C_abs: float) -> float:
-    """Parametric c(delta) = exp(-C / delta^(1/(s-2-eps))); C_abs is external."""
-    if not 0 < delta <= 1:
-        raise ValidationError("bloom_constant needs 0 < delta <= 1")
-    if s < 3:
-        raise ValidationError("bloom_constant needs s >= 3")
-    if not 0 < eps_param < s - 2:
-        raise ValidationError("bloom_constant needs 0 < eps_param < s - 2")
-    if C_abs < 0:
-        raise ValidationError("bloom_constant needs C_abs >= 0")
-    return math.exp(-C_abs / delta ** (1.0 / (s - 2 - eps_param)))

@@ -16,7 +16,9 @@ from .errors import ValidationError
 from .signals import (
     DiscreteSignal,
     FrequencyGrid,
+    convolve,
     default_grid,
+    fft_rounding_bound,
     fourier_sup_diff,
     grid_fourier,
     lp_norm,
@@ -170,6 +172,33 @@ def _corr_value(v: np.ndarray, shifts: tuple) -> float:
     return float(np.sum(prod))
 
 
+def max_lag_correlation(nu: Majorant, lags) -> float:
+    """max(0, max over m in lags of sum_n nu(n) nu(n+m)), lags in 1..N-1.
+
+    Every lag is screened at once by one FFT autocorrelation a of nu's window
+    v.  Only lags whose screened value lies within 2 rho of the screened
+    maximum are evaluated exactly, by the direct `_corr_value` sum, where
+    rho = fft_rounding_bound(2N - 1, ||v||_2^2) bounds |a(m) - c(m)| for the
+    direct float value c(m) of every lag.  The result is bit-identical to
+    evaluating every lag directly: let m* be the lag of the largest c and m'
+    that of the largest a; then a(m*) >= c(m*) - rho >= c(m') - rho
+    >= a(m') - 2 rho, so m* is among the lags evaluated.
+    """
+    lags = np.asarray(lags, dtype=np.int64)
+    if len(lags) == 0:
+        return 0.0
+    v = _window_values(nu)
+    N = len(v)
+    # entry N - 1 + m of v convolved with its reversal is sum_n v(n) v(n + m)
+    auto = convolve(DiscreteSignal(0, v), DiscreteSignal(0, v[::-1])).values
+    screened = auto[N - 1 + lags]
+    rho = fft_rounding_bound(2 * N - 1, float(np.dot(v, v)))
+    best = 0.0
+    for m in lags[screened >= np.max(screened) - 2.0 * rho]:
+        best = max(best, _corr_value(v, (0, int(m))))
+    return best
+
+
 def _shift_tuples(l: int, N: int, shift_samples: int, rng) -> tuple[list, bool]:
     """Canonical tuples (0 < m_2 < ... < m_l <= N-1), exhaustive when feasible."""
     from math import comb
@@ -181,7 +210,7 @@ def _shift_tuples(l: int, N: int, shift_samples: int, rng) -> tuple[list, bool]:
         return [(0,) + rest for rest in combinations(range(1, N), l - 1)], True
     tuples = set()
     while len(tuples) < shift_samples:
-        rest = rng.choice(np.arange(1, N), size=l - 1, replace=False)
+        rest = rng.choice(N - 1, size=l - 1, replace=False) + 1
         tuples.add((0,) + tuple(sorted(int(m) for m in rest)))
     return sorted(tuples), False
 
@@ -191,11 +220,13 @@ def max_correlation(nu: Majorant, l: int, shift_samples: int = 2000,
     """Max over tested distinct l-tuples of sum_n nu(n+m_1)...nu(n+m_l), over N."""
     if l < 1:
         raise ValidationError("correlation order must be >= 1")
-    v = _window_values(nu)
     if l == 1:
         return nu.l1_mass / nu.N, True
     rng = np.random.default_rng(seed)
     tuples, exhaustive = _shift_tuples(l, nu.N, shift_samples, rng)
+    if l == 2:
+        return max_lag_correlation(nu, [t[1] for t in tuples]) / nu.N, exhaustive
+    v = _window_values(nu)
     best = 0.0
     for t in tuples:
         best = max(best, _corr_value(v, t))

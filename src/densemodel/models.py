@@ -18,7 +18,7 @@ from scipy.optimize import linprog
 
 from .bohr import BohrSet, bohr_enumerate, bohr_measure, spectrum
 from .errors import DenseModelError, ValidationError
-from .majorants import Majorant, max_correlation
+from .majorants import Majorant, max_lag_correlation
 from .signals import (
     CertifiedSup,
     DiscreteSignal,
@@ -26,6 +26,7 @@ from .signals import (
     align,
     convolve,
     default_grid,
+    fourier_at_grid_points,
     fourier_sup_diff,
     grid_fourier,
     lp_norm,
@@ -96,27 +97,19 @@ def _power_sum(sig: DiscreteSignal, k: float) -> float:
     return float(np.sum(sig.values.astype(np.float64) ** k))
 
 
-def _sigma_hat_at_representatives(sigma: DiscreteSignal, spec) -> np.ndarray:
-    """sigmahat at the spectrum grid points j/M_spec, exact via the full grid."""
-    if spec.r == 0:
-        return np.zeros(0, dtype=np.complex128)
-    vals = grid_fourier(sigma, FrequencyGrid(spec.M))
-    return vals[spec.interval_indices]
-
-
-def _spectrum_checks(f, nu, spec, sigma, power, grid) -> dict:
+def _spectrum_checks(spec, sigma, power, fhat, sighat) -> dict:
     """Pointwise certified inequalities from the construction's proof chain.
 
-    Off-spectrum grid points obey |fhat - ghat| <= 2 eta ||nu||_1 because
-    |sigmahat| <= 1; representatives obey |1 - sigmahat| <= 2 pi eps since
-    every Bohr element n has ||n alpha_i|| <= eps.
+    fhat and sighat are f and sigma on the check grid.  Off-spectrum grid
+    points obey |fhat - ghat| <= 2 eta ||nu||_1 because |sigmahat| <= 1;
+    representatives obey |1 - sigmahat| <= 2 pi eps since every Bohr element
+    n has ||n alpha_i|| <= eps.
     """
-    fhat = grid_fourier(f, grid)
-    sighat = grid_fourier(sigma, grid)
     diff = np.abs(fhat) * np.abs(1.0 - sighat ** power)
     off = np.abs(fhat) < spec.threshold
     off_max = float(np.max(diff[off])) if off.any() else 0.0
-    rep_vals = _sigma_hat_at_representatives(sigma, spec)
+    rep_vals = fourier_at_grid_points(sigma, FrequencyGrid(spec.M),
+                                      spec.interval_indices)
     rep_max = float(np.max(np.abs(1.0 - rep_vals))) if spec.r else 0.0
     return {
         "off_spectrum_max": off_max,
@@ -147,10 +140,12 @@ def _convolution_model(variant: str, f: DiscreteSignal, nu: Majorant,
     if grid is None:
         grid = default_grid(g.support_hi - g.support_lo + 1)
     err = fourier_sup_diff(f, g, grid)
-    checks = _spectrum_checks(f, nu, spec, sigma, power, grid)
+    fhat = grid_fourier(f, grid)
+    sighat = grid_fourier(sigma, grid)
+    checks = _spectrum_checks(spec, sigma, power, fhat, sighat)
     # convolution-theorem consistency: ghat = fhat * sigmahat^power on the grid
     ghat = grid_fourier(g, grid)
-    product = grid_fourier(f, grid) * grid_fourier(sigma, grid) ** power
+    product = fhat * sighat ** power
     scale = max(1.0, float(np.max(np.abs(ghat))))
     checks["conv_theorem_rel_err"] = float(
         np.max(np.abs(ghat - product))) / scale
@@ -189,9 +184,7 @@ def green_model(f: DiscreteSignal, nu: Majorant, eps: float, eta: float,
 
 def _bohr_corr2(nu: Majorant) -> float:
     """Exact max over m != 0 of sum_n nu(n) nu(n+m) / N (all shifts tested)."""
-    val, exhaustive = max_correlation(nu, 2, shift_samples=max(nu.N, 2))
-    assert exhaustive
-    return val
+    return max_lag_correlation(nu, np.arange(1, nu.N)) / nu.N
 
 
 def hdr_model(f: DiscreteSignal, nu: Majorant, eps: float,
@@ -238,12 +231,9 @@ def _bohr_restricted_correlations(nu: Majorant, B: BohrSet, k: int) -> dict:
         diffs = np.arange(-(2 * int(elems[-1])), 2 * int(elems[-1]) + 1)
     pos = diffs[diffs > 0]
     pos = pos[pos < N]
-    auto = {0: float(np.dot(v, v))}
-    for d in pos:
-        auto[int(d)] = float(np.dot(v[:-d], v[d:]))
     theta = lp_norm(nu.signal, np.inf) / N
     out = {1: {"value": nu.l1_mass / N, "method": "exact"}}
-    corr2 = max((val for d, val in auto.items() if d != 0), default=0.0) / N
+    corr2 = max_lag_correlation(nu, pos) / N
     out[2] = {"value": corr2, "method": "exact"}
     for l in range(3, k + 1):
         n_tuples = len(pos) ** (l - 1)

@@ -267,8 +267,10 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineReport:
     count_g = _stage("count", count_weighted, form, [model.g] * form.s)
     threshold = _stage("threshold", threshold_extract, model.g, cfg.delta, cfg.N)
     flags.extend(threshold.flags)
-    comparison = _stage("threshold", count_comparison, form, model.g, threshold)
-    transfer = _stage("transfer", transfer_error_bound, form, f, model.g)
+    comparison = _stage("threshold", count_comparison, form, model.g, threshold,
+                        count_g=count_g.total)
+    transfer = _stage("transfer", transfer_error_bound, form, f, model.g,
+                      count_f=count_f.total, count_g=count_g.total)
 
     claim("fourier_err_upper", "certified-bound",
           model.fourier_err.certified_upper)

@@ -26,6 +26,14 @@ MAX_CONV_LENGTH = 1 << 24
 # Sums with more terms than this use compensated (fsum) summation.
 COMPENSATED_SUM_THRESHOLD = 10_000
 
+# Unit roundoff of float64, and the constant C of `fft_rounding_bound`.
+UNIT_ROUNDOFF = 2.0 ** -53
+FFT_ERROR_CONSTANT = 64.0
+
+# Phase-matrix entries per block in `fourier_at_grid_points`.
+DIRECT_EVAL_BLOCK = 1 << 14
+DIRECT_EVAL_MAX_M = 1 << 31
+
 
 @dataclass(frozen=True)
 class DiscreteSignal:
@@ -60,10 +68,6 @@ class DiscreteSignal:
     @staticmethod
     def zero() -> "DiscreteSignal":
         return DiscreteSignal(0, np.zeros(1))
-
-    @staticmethod
-    def unit_mass(n: int, weight: float = 1.0) -> "DiscreteSignal":
-        return DiscreteSignal(n, np.array([float(weight)]))
 
     @staticmethod
     def indicator(lo: int, hi: int) -> "DiscreteSignal":
@@ -183,12 +187,75 @@ def fourier_eval(f: DiscreteSignal, alpha: float) -> complex:
 
 
 def grid_fourier(f: DiscreteSignal, grid: FrequencyGrid) -> np.ndarray:
-    """fhat at every grid point j/M, exactly (indices fold mod M without error)."""
+    """fhat at every grid point j/M, exactly (indices fold mod M without error).
+
+    f is real, so one real FFT of the folded buffer gives fhat at j <= M/2 and
+    the Hermitian symmetry fhat(-j/M) = conj(fhat(j/M)) gives the rest.
+    """
     M = grid.M
-    buf = np.zeros(M, dtype=np.complex128)
-    np.add.at(buf, np.mod(f.indices, M), f.values)
-    # ifft(buf)*M = sum_n buf[n] e(+jn/M), matching the e() sign convention
-    return np.fft.ifft(buf) * M
+    buf = np.bincount(np.mod(f.indices, M), weights=f.values, minlength=M)
+    # conj(rfft(buf))[j] = sum_n buf[n] e(+jn/M), matching the e() sign convention
+    half = np.fft.rfft(buf)
+    out = np.empty(M, dtype=np.complex128)
+    np.conjugate(half, out=out[:len(half)])
+    out[len(half):] = half[M - len(half):0:-1]
+    return out
+
+
+def fourier_at_grid_points(f: DiscreteSignal, grid: FrequencyGrid,
+                           j) -> np.ndarray:
+    """fhat(j/M) at the given integer grid indices j, by direct summation.
+
+    The phase of each term is reduced exactly in integers, (j n) mod M, so the
+    only rounding is in e(k/M) with 0 <= k < M and in the sum.  Costs
+    O(len(j) * |supp f|) time and O(DIRECT_EVAL_BLOCK) memory; the right tool
+    when only a few of the M values are needed.
+    """
+    M = grid.M
+    if M > DIRECT_EVAL_MAX_M:
+        # (j n) mod M is formed from a product below M^2 in int64
+        raise ResourceError(f"direct evaluation grid M={M} exceeds cap {DIRECT_EVAL_MAX_M}")
+    j = np.mod(np.asarray(j, dtype=np.int64), M)
+    nz = np.nonzero(f.values)[0]
+    n = np.mod(f.support_lo + nz, M).astype(np.int64)
+    weights = f.values[nz]
+    out = np.zeros(len(j), dtype=np.complex128)
+    step = max(1, DIRECT_EVAL_BLOCK // max(1, len(n)))
+    for start in range(0, len(j), step):
+        k = np.mod(np.outer(j[start:start + step], n), M)
+        # row sums are pairwise, so the sum adds O(u log |supp f|) relative error
+        out[start:start + step] = np.sum(np.exp((2j * np.pi / M) * k) * weights, axis=1)
+    return out
+
+
+def fft_rounding_bound(length: int, norm_product: float) -> float:
+    """rho = C u (log2 L + 2) ||x||_2 ||y||_2: FFT rounding error of one output.
+
+    Covers every output that is an inner product sum_n x(n) y(n) computed
+    through FFTs of length at most L: an entry of a convolution (`convolve`,
+    where L is its output length), or fhat at a grid point (`grid_fourier`,
+    where y is a character of norm sqrt(M) and L = M).  Wilkinson-style
+    first-order analysis of Cooley-Tukey transforms with accurate twiddles
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 24) puts the
+    error of two forward transforms, a pointwise product and an inverse below
+    about 20 u log2 L ||x||_2 ||y||_2; Bluestein's algorithm for lengths with
+    large prime factors is one such convolution of length below 4L, hence the
+    +2.  The same products summed directly in float64 (pairwise) err by less
+    than (log2 L + 20) u ||x||_2 ||y||_2.  C = 64 covers both with a factor of
+    about 3 to spare, so |FFT value - direct float value| <= rho.
+    """
+    return (FFT_ERROR_CONSTANT * UNIT_ROUNDOFF
+            * (math.log2(max(2, length)) + 2.0) * norm_product)
+
+
+def grid_fourier_rounding(f: DiscreteSignal, grid: FrequencyGrid) -> float:
+    """`fft_rounding_bound` for every output of `grid_fourier(f, grid)`.
+
+    The transform acts on f folded mod M; a bin sums at most ceil(len/M)
+    window entries, so the folded buffer has norm <= sqrt(ceil(len/M)) ||f||_2.
+    """
+    folds = -(-len(f.values) // grid.M)
+    return fft_rounding_bound(grid.M, math.sqrt(grid.M * folds) * lp_norm(f, 2))
 
 
 def lp_norm(f: DiscreteSignal, p: float) -> float:

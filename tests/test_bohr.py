@@ -131,3 +131,15 @@ class TestBohrMeasure:
         sigma = bohr_measure(B)
         for a in freqs:
             assert abs(1 - fourier_eval(sigma, a)) <= 2 * math.pi * eps + 1e-9
+
+
+class TestSpectrumRounding:
+    @pytest.mark.parametrize("N", [50, 333, 2000, 20000])
+    def test_f_equal_nu_at_eta_one_keeps_frequency_zero(self, N) -> None:
+        # |fhat(0)| = ||nu||_1 sits exactly on the threshold eta ||nu||_1
+        from densemodel.majorants import make_squares, make_weighted_primes
+
+        for nu in (make_random_sparse(N, 2 / 3, seed=N), make_squares(N),
+                   make_weighted_primes(N), make_uniform(N)):
+            spec = spectrum(nu.signal, nu, eta=1.0)
+            assert 0 in spec.interval_indices, nu.metadata

@@ -192,3 +192,19 @@ class TestComparison:
         rep = count_comparison(form, g, rep_t)
         assert rep.ok
         assert rep.count_g >= rep.factor * rep.count_indicator - 1e-9
+
+
+class TestGivenCounts:
+    def test_transfer_and_comparison_reuse_given_totals(self) -> None:
+        form = LinearForm((1, 1, -2))
+        f = DiscreteSignal(1, np.array([2.0, 0.0, 2.0, 2.0, 0.0, 2.0]))
+        g = DiscreteSignal(1, np.array([1.0, 0.5, 1.25, 1.0, 0.75, 1.5]))
+        cf = count_weighted(form, [f] * 3).total
+        cg = count_weighted(form, [g] * 3).total
+        assert transfer_error_bound(form, f, g, count_f=cf, count_g=cg) == \
+            transfer_error_bound(form, f, g)
+        t = threshold_extract(g, 0.5, 6)
+        assert count_comparison(form, g, t, count_g=cg) == count_comparison(form, g, t)
+        # the given totals are what the report carries
+        rep = transfer_error_bound(form, f, g, count_f=1.0, count_g=2.0)
+        assert (rep.count_f, rep.count_g) == (1.0, 2.0)

@@ -18,6 +18,7 @@ from densemodel.majorants import (
     make_uniform,
     make_weighted_primes,
     max_correlation,
+    max_lag_correlation,
     restriction_lower_estimate,
 )
 from densemodel.signals import DiscreteSignal, FrequencyGrid
@@ -155,3 +156,49 @@ class TestDiagnose:
         doubled = Majorant(nu.signal.scaled(2.0), 2 * nu.N, dict(nu.metadata))
         val2, _ = max_correlation(doubled, 2, shift_samples=10 ** 6)
         assert val2 == pytest.approx(4 * val * N / (2 * N), rel=1e-9)
+
+
+class TestMaxLagCorrelation:
+    @staticmethod
+    def direct(nu: Majorant, lags) -> float:
+        """Oracle: every lag by the same direct sum the library keeps."""
+        v = np.zeros(nu.N)
+        v[nu.signal.support_lo - 1: nu.signal.support_hi] = nu.signal.values
+        return max([0.0] + [float(np.sum(v[:nu.N - m] * v[m:])) for m in lags])
+
+    def test_many_tied_lags_match_brute_force(self) -> None:
+        # {2^k} is a Sidon set: each of its 45 differences occurs once, so 45
+        # lags tie at the maximum 100^2 and every other lag is 0
+        N = 1000
+        vals = np.zeros(N)
+        vals[[2 ** k - 1 for k in range(10)]] = 100.0
+        nu = Majorant(DiscreteSignal(1, vals), N)
+        assert max_lag_correlation(nu, np.arange(1, N)) == 10_000.0
+        assert brute_max_correlation(nu, 2) * N == 10_000.0
+
+    @pytest.mark.parametrize("N,seed", [(50, 0), (700, 1), (3000, 2)])
+    def test_bit_identical_to_every_lag_direct(self, N, seed) -> None:
+        for nu in (make_random_sparse(N, 2 / 3, seed), make_squares(N),
+                   make_weighted_primes(N), make_uniform(N)):
+            lags = np.arange(1, N)
+            assert max_lag_correlation(nu, lags) == self.direct(nu, lags)
+            part = np.random.default_rng(seed).choice(lags, size=N // 3, replace=False)
+            assert max_lag_correlation(nu, part) == self.direct(nu, part)
+
+    @pytest.mark.parametrize("N", [1000, 20000])
+    def test_sampled_path_keeps_draws_and_value(self, N) -> None:
+        nu = make_random_sparse(N, 2 / 3, seed=5)
+        val, exhaustive = max_correlation(nu, 2, shift_samples=300, seed=4)
+        assert not exhaustive
+        # the draws as first specified: one shift from arange(1, N) at a time
+        rng = np.random.default_rng(4)
+        lags = set()
+        while len(lags) < 300:
+            lags.add(int(rng.choice(np.arange(1, N), size=1, replace=False)[0]))
+        assert val == self.direct(nu, sorted(lags)) / N
+
+    def test_empty_lag_set(self) -> None:
+        nu = make_random_sparse(100, 2 / 3, seed=0)
+        assert max_lag_correlation(nu, []) == 0.0
+        assert max_lag_correlation(nu, np.zeros(0, dtype=np.int64)) == 0.0
+        assert max_correlation(make_uniform(1), 2) == (0.0, True)

@@ -187,3 +187,39 @@ class TestClamp:
         c = clamp_to_unit_window(g, 3)
         assert c.support_lo == 1 and len(c.values) == 3
         assert list(c.values) == [0.0, 1.0, 0.25]
+
+
+class TestOptimizedInterpreter:
+    def test_hdr_corr2_under_python_O(self, sparse_instance) -> None:
+        # -O strips assert statements; corr2 must not depend on one
+        import json
+        import os
+        import subprocess
+        import sys
+
+        import densemodel
+
+        script = (
+            "import json, sys\n"
+            "from densemodel.majorants import make_random_sparse\n"
+            "from densemodel.models import hdr_model\n"
+            "from densemodel.pipeline import select_subset\n"
+            "nu = make_random_sparse(600, 2 / 3, seed=11)\n"
+            "f, _ = select_subset(nu, 0.5, 'structured', 0)\n"
+            "rep = hdr_model(f, nu, 0.2)\n"
+            "print(json.dumps({'optimize': sys.flags.optimize,\n"
+            "                  'corr2': rep.checks['corr2'],\n"
+            "                  'l2_ok': rep.checks['l2_ok']}))\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(densemodel.__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        got = json.loads(out.stdout)
+        f, nu = sparse_instance
+        v = np.zeros(nu.N)
+        v[nu.signal.support_lo - 1: nu.signal.support_hi] = nu.signal.values
+        brute = max(float(np.dot(v[:-m], v[m:])) for m in range(1, nu.N)) / nu.N
+        assert got["optimize"] == 1
+        assert got["corr2"] == hdr_model(f, nu, 0.2).checks["corr2"]
+        assert got["corr2"] == pytest.approx(brute, rel=1e-12)
+        assert got["l2_ok"]

@@ -201,3 +201,61 @@ class TestCli:
         code = main(["bohr", "--eps", "0.2", "--N", "100", "--strict"])
         capsys.readouterr()
         assert code == EXIT_OK  # no flags raised here
+
+
+class TestCountReuse:
+    def test_each_weight_counted_once(self, monkeypatch) -> None:
+        import densemodel.counting as counting
+        import densemodel.pipeline as pipeline_mod
+
+        cfg = PipelineConfig(N=300, variant="hdr", eps=0.2, eta=0.2, seed=3)
+        expected = run_pipeline(cfg).to_json()
+        calls = []
+        original = counting.count_weighted
+
+        def counted(form, weights):
+            calls.append(len(weights))
+            return original(form, weights)
+
+        monkeypatch.setattr(counting, "count_weighted", counted)
+        monkeypatch.setattr(pipeline_mod, "count_weighted", counted)
+        rep = run_pipeline(cfg)
+        # f, g and the threshold indicator 1_B
+        assert len(calls) == 3
+        assert rep.to_json() == expected
+        d = rep.data
+        assert d["transfer"]["count_f"] == d["counts"]["f"]["total"]
+        assert d["transfer"]["count_g"] == d["counts"]["g"]["total"]
+        assert d["comparison"]["count_g"] == d["counts"]["g"]["total"]
+
+
+class TestCliPipelineOptions:
+    def test_config_seed_kept_without_seed_flag(self, tmp_path, capsys) -> None:
+        path = tmp_path / "run.cfg"
+        PipelineConfig(N=200, variant="green", eps=0.2, eta=0.2, seed=7).write(path)
+        assert main(["pipeline", "--config", str(path)]) == EXIT_OK
+        data = json.loads(capsys.readouterr().out)
+        assert data["config"]["seed"] == 7
+        assert data["majorant"]["metadata"]["seed"] == 7
+        assert main(["pipeline", "--config", str(path), "--seed", "3"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["config"]["seed"] == 3
+
+    def test_seed_defaults_to_zero(self, capsys) -> None:
+        from densemodel.cli import build_parser
+
+        parser = build_parser()
+        assert parser.parse_args(["majorant"]).seed == 0
+        assert parser.parse_args(["densify"]).seed == 0
+        assert main(["pipeline", "--N", "200", "--variant", "green"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["config"]["seed"] == 0
+
+    def test_out_path_stays_out_of_report(self, tmp_path, capsys) -> None:
+        outs = [tmp_path / "a.json", tmp_path / "sub-b.json"]
+        printed = []
+        for out in outs:
+            assert main(["pipeline", "--N", "200", "--variant", "green",
+                         "--out", str(out)]) == EXIT_OK
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert json.loads(printed[0])["config"]["output"] == ""
+        assert [o.read_text() for o in outs] == printed

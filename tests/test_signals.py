@@ -17,6 +17,7 @@ from densemodel.signals import (
     add,
     convolve,
     default_grid,
+    fourier_at_grid_points,
     fourier_eval,
     fourier_sup_diff,
     grid_fourier,
@@ -196,3 +197,76 @@ class TestCsvRoundTrip:
         path = tmp_path / "empty.csv"
         path.write_text("n,value\n")
         assert read_csv(path).is_zero
+
+
+class TestGridFourierRealInput:
+    @pytest.mark.parametrize("M", [1, 2, 7, 8, 1025])
+    @pytest.mark.parametrize("lo", [-37, -5, 0, 3])
+    def test_matches_fourier_eval_everywhere(self, M, lo) -> None:
+        # 40 entries: the window folds onto itself for M < 40
+        rng = np.random.default_rng(M * 100 + lo)
+        f = DiscreteSignal(lo, rng.normal(size=40))
+        vals = grid_fourier(f, FrequencyGrid(M))
+        direct = np.array([fourier_eval(f, j / M) for j in range(M)])
+        assert vals.shape == (M,)
+        assert np.max(np.abs(vals - direct)) <= 1e-12 * lp_norm(f, 1)
+
+    def test_hermitian_fill(self) -> None:
+        f = DiscreteSignal(-4, np.arange(1.0, 10.0))
+        for M in (7, 8):
+            vals = grid_fourier(f, FrequencyGrid(M))
+            assert np.array_equal(vals[1:], np.conj(vals[1:][::-1]))
+            assert vals[0] == pytest.approx(45.0, abs=1e-12)
+
+
+class TestFourierAtGridPoints:
+    def test_bohr_measure_matches_fourier_eval(self) -> None:
+        from densemodel.bohr import bohr_enumerate, bohr_measure
+
+        M = 50_021
+        sigma = bohr_measure(bohr_enumerate(np.array([0.0]), 0.5, 2000))
+        # 2001 support points: the 300 indices span several blocks
+        j = np.concatenate([[0, 1, M - 1], np.random.default_rng(1).integers(0, M, 297)])
+        vals = fourier_at_grid_points(sigma, FrequencyGrid(M), j)
+        direct = np.array([fourier_eval(sigma, int(k) / M) for k in j])
+        assert np.max(np.abs(vals - direct)) <= 1e-12 * lp_norm(sigma, 1)
+        assert vals[0] == pytest.approx(1.0, abs=1e-15)
+
+    def test_matches_grid_fourier_with_negative_support(self) -> None:
+        rng = np.random.default_rng(3)
+        f = DiscreteSignal(-300, rng.normal(size=450) * (rng.random(450) < 0.3))
+        grid = FrequencyGrid(977)
+        j = rng.integers(-2000, 2000, 64)  # indices reduce mod M
+        vals = fourier_at_grid_points(f, grid, j)
+        full = grid_fourier(f, grid)
+        assert np.max(np.abs(vals - full[np.mod(j, grid.M)])) <= 1e-12 * lp_norm(f, 1)
+        direct = np.array([fourier_eval(f, int(k) / grid.M) for k in j])
+        assert np.max(np.abs(vals - direct)) <= 1e-12 * lp_norm(f, 1)
+
+    def test_empty_index_set(self) -> None:
+        f = DiscreteSignal(2, np.ones(5))
+        assert fourier_at_grid_points(f, FrequencyGrid(16), []).shape == (0,)
+
+
+class TestFftRoundingBound:
+    @pytest.mark.parametrize("M", [4096, 50_021, 2 * 3 * 5 * 7 * 11 * 13])
+    def test_grid_fourier_error_within_bound(self, M) -> None:
+        from densemodel.signals import grid_fourier_rounding
+
+        rng = np.random.default_rng(M)
+        f = DiscreteSignal(1, rng.random(3000) * (rng.random(3000) < 0.2))
+        grid = FrequencyGrid(M)
+        j = rng.integers(0, M, 200)
+        err = np.abs(grid_fourier(f, grid)[j] - fourier_at_grid_points(f, grid, j))
+        assert np.max(err) <= grid_fourier_rounding(f, grid)
+
+    def test_convolution_error_within_bound(self) -> None:
+        from densemodel.signals import fft_rounding_bound
+
+        rng = np.random.default_rng(11)
+        x = DiscreteSignal(0, rng.random(5000) * 100.0)
+        y = DiscreteSignal(0, rng.random(3000))
+        fast = convolve(x, y).values
+        exact = np.convolve(x.values, y.values)
+        rho = fft_rounding_bound(len(fast), lp_norm(x, 2) * lp_norm(y, 2))
+        assert np.max(np.abs(fast - exact)) <= rho
