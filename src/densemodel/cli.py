@@ -11,18 +11,16 @@ import sys
 
 import numpy as np
 
-from . import convex, counting, majorants, models, pipeline, polyapprox
+from . import convex, counting, majorants, pipeline, polyapprox
 from .bohr import bohr_enumerate
 from .errors import (
-    EXIT_CERTIFICATION,
     EXIT_OK,
-    EXIT_VALIDATION,
     CertificationError,
     DenseModelError,
     ValidationError,
 )
 from .pipeline import PipelineConfig, canonical_json
-from .signals import DiscreteSignal, FrequencyGrid, read_csv, write_csv
+from .signals import FrequencyGrid, read_csv, write_csv
 
 
 def _emit(data: dict, strict: bool) -> None:
@@ -70,16 +68,8 @@ def _load_majorant(args) -> majorants.Majorant:
         sig = read_csv(args.majorant_csv)
         N = args.N or sig.support_hi
         return majorants.Majorant(sig, N, {"kind": "file"})
-    N = args.N or 1000
-    if args.kind == "uniform":
-        return majorants.make_uniform(N)
-    if args.kind == "sparse":
-        return majorants.make_random_sparse(N, args.exponent, args.seed)
-    if args.kind == "squares":
-        return majorants.make_squares(N)
-    if args.kind == "primes":
-        return majorants.make_weighted_primes(N)
-    raise ValidationError(f"unknown majorant kind {args.kind!r}")
+    return pipeline.build_majorant(args.kind, args.N or 1000, args.exponent,
+                                   args.seed)
 
 
 def cmd_majorant(args) -> None:
@@ -110,19 +100,9 @@ def cmd_bohr(args) -> None:
 def cmd_densify(args) -> None:
     nu = _load_majorant(args)
     f = read_csv(args.signal) if args.signal else nu.signal
-    grid = _grid(args)
-    if args.variant == "green":
-        report = models.green_model(f, nu, args.eps, args.eta,
-                                    grid=grid, strict=args.strict)
-    elif args.variant == "hdr":
-        report = models.hdr_model(f, nu, args.eps, grid=grid, strict=args.strict)
-    elif args.variant == "naslund":
-        report = models.naslund_model(f, nu, args.k, args.p,
-                                      grid=grid, strict=args.strict)
-    elif args.variant == "hahn_banach":
-        report = models.hahn_banach_model(f, nu, grid=grid, tol=args.tol)
-    else:
-        raise ValidationError(f"unknown variant {args.variant!r}")
+    report = pipeline.run_model(args.variant, f, nu, eps=args.eps, eta=args.eta,
+                                k=args.k, p=args.p, grid=_grid(args),
+                                tol=args.tol, strict=args.strict)
     if args.g_out:
         write_csv(report.g, args.g_out)
     _emit(report.as_dict(), args.strict)
@@ -192,7 +172,7 @@ def cmd_pipeline(args) -> None:
         cfg.seed = args.seed
     if args.grid_M:
         cfg.grid_m = args.grid_M
-    if args.tol:
+    if args.tol is not None:
         cfg.tol = args.tol
     if args.variant:
         cfg.variant = args.variant
@@ -221,7 +201,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _add_majorant_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", default="sparse",
-                   choices=["uniform", "sparse", "squares", "primes"])
+                   choices=pipeline.MAJORANT_KINDS)
     p.add_argument("--N", type=int, default=0)
     p.add_argument("--exponent", type=float, default=2.0 / 3.0)
     p.add_argument("--majorant-csv", default="",
@@ -255,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("densify", help="build a bounded approximant g of f")
     _add_majorant_opts(p)
     p.add_argument("--variant", default="hdr",
-                   choices=["green", "hdr", "naslund", "hahn_banach"])
+                   choices=pipeline.VARIANTS)
     p.add_argument("--signal", default="", help="CSV for f (default: f = nu)")
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--eta", type=float, default=0.1)
@@ -301,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", default="")
     p.add_argument("--out", default="", help="write the JSON report here")
     _add_common(p)
-    # no --seed keeps the config file's seed (0 without a file)
-    p.set_defaults(fn=cmd_pipeline, seed=None)
+    # no --seed or --tol keeps the config file's value (the default without a file)
+    p.set_defaults(fn=cmd_pipeline, seed=None, tol=None)
 
     return parser
 

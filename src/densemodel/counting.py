@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import ResourceError, ValidationError
 from .signals import (
-    CertifiedSup,
     DiscreteSignal,
     FrequencyGrid,
     default_grid,

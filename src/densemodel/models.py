@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 from scipy.optimize import linprog
 
 from .bohr import BohrSet, bohr_enumerate, bohr_measure, spectrum
 from .errors import DenseModelError, ValidationError
-from .majorants import Majorant, max_lag_correlation
+from .majorants import Majorant, _corr_value, _window_values, max_lag_correlation
 from .signals import (
     CertifiedSup,
     DiscreteSignal,
@@ -30,13 +31,13 @@ from .signals import (
     fourier_sup_diff,
     grid_fourier,
     lp_norm,
-    subtract,
 )
 
 HB_GRID_M = 1024
 HB_DIRECTIONS = 16
 HB_MAX_ROUNDS = 200
 CORR_TUPLE_BUDGET = 40_000
+NASLUND_C_P = 1.0
 
 
 @dataclass(frozen=True)
@@ -73,12 +74,6 @@ class DenseModelReport:
         return d
 
 
-def validate_majorization(f: DiscreteSignal, nu: Majorant) -> bool:
-    """True iff 0 <= f(n) <= nu(n) for all n."""
-    lo, fv, nv = align(f, nu.signal)
-    return bool(np.all(fv >= 0) and np.all(fv <= nv))
-
-
 def require_majorization(f: DiscreteSignal, nu: Majorant) -> None:
     lo, fv, nv = align(f, nu.signal)
     bad = np.nonzero((fv < 0) | (fv > nv))[0]
@@ -89,49 +84,47 @@ def require_majorization(f: DiscreteSignal, nu: Majorant) -> None:
             f"f(n)={fv[bad[0]]}, nu(n)={nv[bad[0]]}")
 
 
-def _mass(sig: DiscreteSignal) -> float:
-    return float(np.sum(sig.values))
+def validate_majorization(f: DiscreteSignal, nu: Majorant) -> bool:
+    """True iff 0 <= f(n) <= nu(n) for all n."""
+    try:
+        require_majorization(f, nu)
+    except ValidationError:
+        return False
+    return True
 
 
 def _power_sum(sig: DiscreteSignal, k: float) -> float:
     return float(np.sum(sig.values.astype(np.float64) ** k))
 
 
-def _spectrum_checks(spec, sigma, power, fhat, sighat) -> dict:
-    """Pointwise certified inequalities from the construction's proof chain.
+def _report(variant: str, params: dict, f: DiscreteSignal, nu: Majorant,
+            g: DiscreteSignal, err: CertifiedSup, checks: dict, flags: list,
+            lk_sum: float | None = None) -> DenseModelReport:
+    """The report of one construction; its norms and masses are read off f and g."""
+    return DenseModelReport(
+        variant=variant, params=params, g=g, fourier_err=err,
+        g_linf=lp_norm(g, np.inf), g_l2_over_N=_power_sum(g, 2) / nu.N,
+        mass_f=float(np.sum(f.values)), mass_g=float(np.sum(g.values)),
+        g_lk_over_N=None if lk_sum is None else lk_sum / nu.N,
+        checks=checks, flags=flags)
 
-    fhat and sighat are f and sigma on the check grid.  Off-spectrum grid
-    points obey |fhat - ghat| <= 2 eta ||nu||_1 because |sigmahat| <= 1;
-    representatives obey |1 - sigmahat| <= 2 pi eps since every Bohr element
-    n has ||n alpha_i|| <= eps.
+
+def _convolution_model(f: DiscreteSignal, nu: Majorant, eps: float,
+                       eta: float, power: int, grid: FrequencyGrid | None,
+                       strict: bool) -> tuple:
+    """Shared core of the smoothing constructions: returns pieces for reports.
+
+    Its checks are the pointwise certified inequalities of the proof chain on
+    the check grid.  Off-spectrum grid points obey |fhat - ghat| <= 2 eta
+    ||nu||_1 because |sigmahat| <= 1; representatives obey |1 - sigmahat|
+    <= 2 pi eps since every Bohr element n has ||n alpha_i|| <= eps.
     """
-    diff = np.abs(fhat) * np.abs(1.0 - sighat ** power)
-    off = np.abs(fhat) < spec.threshold
-    off_max = float(np.max(diff[off])) if off.any() else 0.0
-    rep_vals = fourier_at_grid_points(sigma, FrequencyGrid(spec.M),
-                                      spec.interval_indices)
-    rep_max = float(np.max(np.abs(1.0 - rep_vals))) if spec.r else 0.0
-    return {
-        "off_spectrum_max": off_max,
-        "off_spectrum_bound": 2.0 * spec.threshold,
-        "off_spectrum_ok": off_max <= 2.0 * spec.threshold * (1 + 1e-12) + 1e-12,
-        "representative_max": rep_max,
-    }
-
-
-def _convolution_model(variant: str, f: DiscreteSignal, nu: Majorant,
-                       eps: float, eta: float, power: int,
-                       grid: FrequencyGrid | None,
-                       m_cap: int | None = None,
-                       strict: bool = False) -> tuple:
-    """Shared core of the smoothing constructions: returns pieces for reports."""
     require_majorization(f, nu)
     if not 0 < eps <= 0.5:
         raise ValidationError("need 0 < eps <= 1/2")
     if not 0 < eta <= 1:
         raise ValidationError("need 0 < eta <= 1")
-    kwargs = {} if m_cap is None else {"m_cap": m_cap}
-    spec = spectrum(f, nu, eta, strict=strict, **kwargs)
+    spec = spectrum(f, nu, eta, strict=strict)
     B = bohr_enumerate(spec.representatives, eps, nu.N)
     sigma = bohr_measure(B)
     g = convolve(f, sigma)
@@ -142,59 +135,57 @@ def _convolution_model(variant: str, f: DiscreteSignal, nu: Majorant,
     err = fourier_sup_diff(f, g, grid)
     fhat = grid_fourier(f, grid)
     sighat = grid_fourier(sigma, grid)
-    checks = _spectrum_checks(spec, sigma, power, fhat, sighat)
+    diff = np.abs(fhat) * np.abs(1.0 - sighat ** power)
+    off = np.abs(fhat) < spec.threshold
+    off_max = float(np.max(diff[off])) if off.any() else 0.0
+    rep_vals = fourier_at_grid_points(sigma, FrequencyGrid(spec.M),
+                                      spec.interval_indices)
+    rep_max = float(np.max(np.abs(1.0 - rep_vals))) if spec.r else 0.0
     # convolution-theorem consistency: ghat = fhat * sigmahat^power on the grid
     ghat = grid_fourier(g, grid)
     product = fhat * sighat ** power
     scale = max(1.0, float(np.max(np.abs(ghat))))
-    checks["conv_theorem_rel_err"] = float(
-        np.max(np.abs(ghat - product))) / scale
-    checks["representative_bound"] = 2.0 * math.pi * eps
-    checks["representative_ok"] = (
-        checks["representative_max"]
-        <= 2.0 * math.pi * eps * (1 + 1e-9) + 1e-9)
-    checks["bohr_size"] = B.size
-    checks["spectrum_r"] = spec.r
+    checks = {
+        "off_spectrum_max": off_max,
+        "off_spectrum_bound": 2.0 * spec.threshold,
+        "off_spectrum_ok": off_max <= 2.0 * spec.threshold * (1 + 1e-12) + 1e-12,
+        "representative_max": rep_max,
+        "representative_bound": 2.0 * math.pi * eps,
+        "representative_ok": rep_max <= 2.0 * math.pi * eps * (1 + 1e-9) + 1e-9,
+        "conv_theorem_rel_err": float(np.max(np.abs(ghat - product))) / scale,
+        "bohr_size": B.size,
+        "spectrum_r": spec.r,
+    }
     flags = ["spectrum_grid_capped"] if spec.capped else []
-    return spec, B, sigma, g, grid, err, checks, flags
+    return B, sigma, g, grid, err, checks, flags
 
 
 def green_model(f: DiscreteSignal, nu: Majorant, eps: float, eta: float,
                 grid: FrequencyGrid | None = None,
                 strict: bool = False) -> DenseModelReport:
     """g = f * sigma * sigma: the doubly smoothed, L^inf-bounded approximant."""
-    spec, B, sigma, g, grid, err, checks, flags = _convolution_model(
-        "green", f, nu, eps, eta, power=2, grid=grid, strict=strict)
+    B, _, g, grid, err, checks, flags = _convolution_model(
+        f, nu, eps, eta, power=2, grid=grid, strict=strict)
     # instance form of the L^inf chain: g <= 1 + theta_decay * N / |B|
     decay = fourier_sup_diff(nu.signal, DiscreteSignal.interval(nu.N), grid)
     theta_decay = decay.certified_upper / nu.N
     linf_bound = 1.0 + theta_decay * nu.N / B.size
-    g_linf = lp_norm(g, np.inf)
     checks["theta_decay"] = theta_decay
     checks["linf_bound"] = linf_bound
-    checks["linf_ok"] = g_linf <= linf_bound * (1 + 1e-9)
-    return DenseModelReport(
-        variant="green",
-        params={"eps": eps, "eta": eta, "grid_M": grid.M},
-        g=g, fourier_err=err, g_linf=g_linf,
-        g_l2_over_N=_power_sum(g, 2) / nu.N,
-        mass_f=_mass(f), mass_g=_mass(g),
-        checks=checks, flags=flags)
-
-
-def _bohr_corr2(nu: Majorant) -> float:
-    """Exact max over m != 0 of sum_n nu(n) nu(n+m) / N (all shifts tested)."""
-    return max_lag_correlation(nu, np.arange(1, nu.N)) / nu.N
+    checks["linf_ok"] = lp_norm(g, np.inf) <= linf_bound * (1 + 1e-9)
+    return _report("green", {"eps": eps, "eta": eta, "grid_M": grid.M},
+                   f, nu, g, err, checks, flags)
 
 
 def hdr_model(f: DiscreteSignal, nu: Majorant, eps: float,
               grid: FrequencyGrid | None = None,
               strict: bool = False) -> DenseModelReport:
     """g = f * sigma with eta = eps: the singly smoothed, L^2-bounded approximant."""
-    spec, B, sigma, g, grid, err, checks, flags = _convolution_model(
-        "hdr", f, nu, eps, eps, power=1, grid=grid, strict=strict)
+    B, _, g, grid, err, checks, flags = _convolution_model(
+        f, nu, eps, eps, power=1, grid=grid, strict=strict)
     theta_L2 = lp_norm(nu.signal, 2) ** 2 / nu.N ** 2
-    corr2 = _bohr_corr2(nu)
+    # exact: every shift m != 0 is tested
+    corr2 = max_lag_correlation(nu, np.arange(1, nu.N)) / nu.N
     l2 = _power_sum(g, 2)
     # proof split: diagonal pairs give theta_L2 N^2 / |B|, off-diagonal corr2 N
     l2_bound = theta_L2 * nu.N ** 2 / B.size + 2.0 * corr2 * nu.N
@@ -205,13 +196,24 @@ def hdr_model(f: DiscreteSignal, nu: Majorant, eps: float,
         "l2_bound": l2_bound,
         "l2_ok": l2 <= l2_bound * (1 + 1e-9),
     })
-    return DenseModelReport(
-        variant="hdr",
-        params={"eps": eps, "eta": eps, "grid_M": grid.M},
-        g=g, fourier_err=err, g_linf=lp_norm(g, np.inf),
-        g_l2_over_N=l2 / nu.N,
-        mass_f=_mass(f), mass_g=_mass(g),
-        checks=checks, flags=flags)
+    return _report("hdr", {"eps": eps, "eta": eps, "grid_M": grid.M},
+                   f, nu, g, err, checks, flags)
+
+
+def _positive_differences(B: BohrSet) -> np.ndarray:
+    """The differences a - b > 0 of Bohr elements a, b, in increasing order.
+
+    Read off the autocorrelation of 1_B, whose value at lag d counts the pairs
+    with a - b = d.  The counts are integers and their FFT error is at most
+    fft_rounding_bound(MAX_CONV_LENGTH, |B|), below 1e-9 for |B| <= 4096, so
+    the cut at 1/2 is exact.
+    """
+    elems = B.elements
+    ind = np.zeros(int(elems[-1] - elems[0]) + 1)
+    ind[elems - elems[0]] = 1.0
+    # entry len(ind) - 1 + d of 1_B convolved with its reversal counts lag d
+    auto = convolve(DiscreteSignal(0, ind), DiscreteSignal(0, ind[::-1])).values
+    return np.nonzero(auto[len(ind):] > 0.5)[0] + 1
 
 
 def _bohr_restricted_correlations(nu: Majorant, B: BohrSet, k: int) -> dict:
@@ -222,31 +224,21 @@ def _bohr_restricted_correlations(nu: Majorant, B: BohrSet, k: int) -> dict:
     budget fall back to the certified collapse corr_l <= (theta N)^{l-2} corr_2.
     """
     N = nu.N
-    v = np.zeros(N)
-    v[nu.signal.support_lo - 1: nu.signal.support_hi] = nu.signal.values
-    elems = B.elements
-    diffs = np.unique(elems[None, :] - elems[:, None]) if B.size <= 4096 else None
-    if diffs is None:
+    if B.size <= 4096:
+        pos = _positive_differences(B)
+    else:
         # large Bohr set: every lag in the window is possible
-        diffs = np.arange(-(2 * int(elems[-1])), 2 * int(elems[-1]) + 1)
-    pos = diffs[diffs > 0]
+        pos = np.arange(1, 2 * int(B.elements[-1]) + 1)
     pos = pos[pos < N]
     theta = lp_norm(nu.signal, np.inf) / N
     out = {1: {"value": nu.l1_mass / N, "method": "exact"}}
     corr2 = max_lag_correlation(nu, pos) / N
     out[2] = {"value": corr2, "method": "exact"}
     for l in range(3, k + 1):
-        n_tuples = len(pos) ** (l - 1)
-        if n_tuples <= CORR_TUPLE_BUDGET:
-            from itertools import combinations
-
-            best = 0.0
-            for combo in combinations(pos, l - 1):
-                span = max(combo)
-                seg = v[: N - span].copy()
-                for m in combo:
-                    seg = seg * v[m: m + N - span]
-                best = max(best, float(np.sum(seg)))
+        if len(pos) ** (l - 1) <= CORR_TUPLE_BUDGET:
+            v = _window_values(nu)
+            best = max((_corr_value(v, (0,) + combo)
+                        for combo in combinations(pos, l - 1)), default=0.0)
             out[l] = {"value": best / N, "method": "exact"}
         else:
             out[l] = {"value": (theta * N) ** (l - 2) * corr2,
@@ -255,7 +247,7 @@ def _bohr_restricted_correlations(nu: Majorant, B: BohrSet, k: int) -> dict:
 
 
 def naslund_model(f: DiscreteSignal, nu: Majorant, k: int, p: float,
-                  C_p: float = 1.0, grid: FrequencyGrid | None = None,
+                  grid: FrequencyGrid | None = None,
                   strict: bool = False) -> DenseModelReport:
     """g = f * sigma at the decay-driven width eps = (2 C_p / log(1/theta))^(1/(p+2)).
 
@@ -269,9 +261,9 @@ def naslund_model(f: DiscreteSignal, nu: Majorant, k: int, p: float,
     if theta >= 1:
         raise ValidationError("naslund_model needs L^inf level theta < 1")
     log_inv = math.log(1.0 / theta)
-    eps = min(0.5, (2.0 * C_p / log_inv) ** (1.0 / (p + 2)))
-    spec, B, sigma, g, grid, err, checks, flags = _convolution_model(
-        "naslund", f, nu, eps, eps, power=1, grid=grid, strict=strict)
+    eps = min(0.5, (2.0 * NASLUND_C_P / log_inv) ** (1.0 / (p + 2)))
+    B, sigma, g, grid, err, checks, flags = _convolution_model(
+        f, nu, eps, eps, power=1, grid=grid, strict=strict)
     if k > 0.5 * math.sqrt(log_inv):
         flags.append("k_exceeds_hypothesis_window")
     binom = math.comb(k, 2)
@@ -298,15 +290,10 @@ def naslund_model(f: DiscreteSignal, nu: Majorant, k: int, p: float,
         "lk_collapse_ok": lk <= chain_bound * (1 + 1e-9),
         "corr_constants": {str(l): corr[l] for l in corr},
     })
-    return DenseModelReport(
-        variant="naslund",
-        params={"eps": eps, "eta": eps, "k": k, "p": p, "C_p": C_p,
-                "theta": theta, "grid_M": grid.M},
-        g=g, fourier_err=err, g_linf=lp_norm(g, np.inf),
-        g_l2_over_N=_power_sum(g, 2) / nu.N,
-        g_lk_over_N=lk / nu.N,
-        mass_f=_mass(f), mass_g=_mass(g),
-        checks=checks, flags=flags)
+    return _report("naslund", {"eps": eps, "eta": eps, "k": k, "p": p,
+                               "C_p": NASLUND_C_P, "theta": theta,
+                               "grid_M": grid.M},
+                   f, nu, g, err, checks, flags, lk_sum=lk)
 
 
 def clamp_to_unit_window(g: DiscreteSignal, N: int) -> DiscreteSignal:
@@ -333,8 +320,7 @@ def _hb_constraint_row(N: int, alpha: float, psi: float,
 def hahn_banach_model(f: DiscreteSignal, nu: Majorant,
                       grid: FrequencyGrid | None = None,
                       directions: int = HB_DIRECTIONS,
-                      tol: float = 1e-6,
-                      max_rounds: int = HB_MAX_ROUNDS) -> DenseModelReport:
+                      tol: float = 1e-6) -> DenseModelReport:
     """Best bounded approximant 0 <= g <= 1_[N] by direct LP minimization.
 
     Minimizes t subject to D-direction linearizations of |fhat - ghat| <= t at
@@ -375,7 +361,7 @@ def hahn_banach_model(f: DiscreteSignal, nu: Majorant,
     g_vals = np.zeros(N)
     t_star = 0.0
     converged = False
-    for _ in range(max_rounds):
+    for _ in range(HB_MAX_ROUNDS):
         res = linprog(cost, A_ub=np.array(rows), b_ub=np.array(rhs),
                       bounds=bounds, method="highs")
         if not res.success:
@@ -409,10 +395,6 @@ def hahn_banach_model(f: DiscreteSignal, nu: Majorant,
         "rounds_constraints": len(rows),
         "converged": converged,
     }
-    return DenseModelReport(
-        variant="hahn_banach",
-        params={"grid_M": M, "directions": directions, "tol": tol},
-        g=g, fourier_err=err, g_linf=lp_norm(g, np.inf),
-        g_l2_over_N=_power_sum(g, 2) / nu.N,
-        mass_f=_mass(f), mass_g=_mass(g),
-        checks=checks, flags=flags)
+    return _report("hahn_banach",
+                   {"grid_M": M, "directions": directions, "tol": tol},
+                   f, nu, g, err, checks, flags)

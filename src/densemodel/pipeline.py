@@ -45,8 +45,26 @@ from .signals import DiscreteSignal, FrequencyGrid
 
 SCHEMA_VERSION = "tlab-report/1"
 
-MAJORANT_KINDS = ("uniform", "sparse", "squares", "primes")
-VARIANTS = ("green", "hdr", "naslund", "hahn_banach")
+# The one registry of majorant kinds and model variants.  Entries call their
+# function by this module's global name, so a wrapper rebound over it sees calls.
+_MAJORANT_MAKERS = {
+    "uniform": lambda N, **_: make_uniform(N),
+    "sparse": lambda N, exponent, seed: make_random_sparse(N, exponent, seed),
+    "squares": lambda N, **_: make_squares(N),
+    "primes": lambda N, **_: make_weighted_primes(N),
+}
+_MODEL_CALLS = {
+    "green": lambda f, nu, grid, eps, eta, strict, **_:
+        green_model(f, nu, eps, eta, grid=grid, strict=strict),
+    "hdr": lambda f, nu, grid, eps, strict, **_:
+        hdr_model(f, nu, eps, grid=grid, strict=strict),
+    "naslund": lambda f, nu, grid, k, p, strict, **_:
+        naslund_model(f, nu, k, p, grid=grid, strict=strict),
+    "hahn_banach": lambda f, nu, grid, tol, **_:
+        hahn_banach_model(f, nu, grid=grid, tol=tol),
+}
+MAJORANT_KINDS = tuple(_MAJORANT_MAKERS)
+VARIANTS = tuple(_MODEL_CALLS)
 SELECTIONS = ("structured", "random")
 
 
@@ -185,14 +203,17 @@ def canonical_json(data: dict) -> str:
                       separators=(",", ": ")) + "\n"
 
 
-def build_majorant(cfg: PipelineConfig) -> Majorant:
-    if cfg.majorant == "uniform":
-        return make_uniform(cfg.N)
-    if cfg.majorant == "sparse":
-        return make_random_sparse(cfg.N, cfg.exponent, cfg.seed)
-    if cfg.majorant == "squares":
-        return make_squares(cfg.N)
-    return make_weighted_primes(cfg.N)
+def build_majorant(kind: str, N: int, exponent: float, seed: int) -> Majorant:
+    """The majorant of one of MAJORANT_KINDS; exponent and seed apply to sparse."""
+    return _MAJORANT_MAKERS[kind](N, exponent=exponent, seed=seed)
+
+
+def run_model(variant: str, f: DiscreteSignal, nu: Majorant, *, eps: float,
+              eta: float, k: int, p: float, grid: FrequencyGrid | None,
+              tol: float, strict: bool):
+    """g by one of VARIANTS; each variant reads the options its model takes."""
+    return _MODEL_CALLS[variant](f, nu, grid, eps=eps, eta=eta, k=k, p=p,
+                                 tol=tol, strict=strict)
 
 
 def select_subset(nu: Majorant, delta: float, selection: str,
@@ -220,17 +241,6 @@ def select_subset(nu: Majorant, delta: float, selection: str,
     return DiscreteSignal(sig.support_lo, vals).trimmed(), len(chosen)
 
 
-def _run_model(cfg: PipelineConfig, f: DiscreteSignal, nu: Majorant):
-    grid = FrequencyGrid(cfg.grid_m) if cfg.grid_m else None
-    if cfg.variant == "green":
-        return green_model(f, nu, cfg.eps, cfg.eta, grid=grid, strict=cfg.strict)
-    if cfg.variant == "hdr":
-        return hdr_model(f, nu, cfg.eps, grid=grid, strict=cfg.strict)
-    if cfg.variant == "naslund":
-        return naslund_model(f, nu, cfg.k, cfg.p, grid=grid, strict=cfg.strict)
-    return hahn_banach_model(f, nu, grid=grid, tol=cfg.tol)
-
-
 def _stage(name: str, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
@@ -251,15 +261,17 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineReport:
             entry["ok"] = bool(ok)
         claims.append(entry)
 
-    nu = _stage("majorant", build_majorant, cfg)
+    nu = _stage("majorant", build_majorant,
+                cfg.majorant, cfg.N, cfg.exponent, cfg.seed)
     f, subset_size = _stage("subset", select_subset,
                             nu, cfg.delta, cfg.selection, cfg.seed)
     if f.is_zero:
         flags.append("empty_subset")
-    diag = _stage("diagnose", diagnose, nu,
-                  FrequencyGrid(cfg.grid_m) if cfg.grid_m else None,
-                  seed=cfg.seed)
-    model = _stage("model", _run_model, cfg, f, nu)
+    grid = FrequencyGrid(cfg.grid_m) if cfg.grid_m else None
+    diag = _stage("diagnose", diagnose, nu, grid, seed=cfg.seed)
+    model = _stage("model", run_model, cfg.variant, f, nu, eps=cfg.eps,
+                   eta=cfg.eta, k=cfg.k, p=cfg.p, grid=grid, tol=cfg.tol,
+                   strict=cfg.strict)
     flags.extend(model.flags)
 
     form = LinearForm(cfg.form)

@@ -35,10 +35,7 @@ def taylor_coeff(n: int) -> float:
     """c_n = (2n)!/((2n-1) 2^(2n) (n!)^2), via c_{n+1} = c_n (2n-1)/(2n+2)."""
     if n < 0:
         raise ValidationError("taylor_coeff needs n >= 0")
-    c = -1.0
-    for m in range(n):
-        c *= (2 * m - 1) / (2 * m + 2)
-    return c
+    return float(_series(n)[n])
 
 
 def taylor_coeff_exact(n: int) -> Fraction:
@@ -59,6 +56,29 @@ def _series(n_terms: int) -> np.ndarray:
         out[m] = c
         c *= (2 * m - 1) / (2 * m + 2)
     return out
+
+
+def _evaluate(series: np.ndarray, linear: bool, x) -> np.ndarray:
+    """-sum_n c_n (1 - x^2)^n, averaged with x when linear."""
+    x = np.asarray(x, dtype=np.float64)
+    t = 1.0 - x * x
+    acc = np.zeros_like(t)
+    power = np.ones_like(t)
+    for c in series:
+        acc += c * power
+        power = power * t
+    val = -acc
+    if linear:
+        val = 0.5 * (val + x)
+    return val
+
+
+def _derivative_bound(series: np.ndarray, linear: bool) -> float:
+    """Certified |P'| bound on [-1, 1] from the stable form."""
+    b = 2.0 * float(np.sum(np.arange(len(series)) * np.abs(series)))
+    if linear:
+        b = 0.5 * b + 0.5
+    return b
 
 
 @dataclass(frozen=True)
@@ -101,24 +121,11 @@ class PolyApprox:
         return self.sample_max_error + self.derivative_slack
 
     def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        t = 1.0 - x * x
-        acc = np.zeros_like(t)
-        power = np.ones_like(t)
-        for c in self.series:
-            acc += c * power
-            power = power * t
-        val = -acc
-        if self.linear:
-            val = 0.5 * (val + x)
-        return val
+        return _evaluate(self.series, self.linear, x)
 
     def derivative_bound(self) -> float:
         """Certified |P'| bound on [-1, 1] from the stable form."""
-        b = 2.0 * float(np.sum(np.arange(len(self.series)) * np.abs(self.series)))
-        if self.linear:
-            b = 0.5 * b + 0.5
-        return b
+        return _derivative_bound(self.series, self.linear)
 
     def as_dict(self) -> dict:
         return {
@@ -150,21 +157,10 @@ def _monomial_from_series(n_terms: int, linear: bool) -> np.ndarray:
 def _certify(series: np.ndarray, linear: bool, target) -> tuple[float, float]:
     """(sample max error, between-sample slack) against the target function."""
     x = np.linspace(-1.0, 1.0, SUP_SAMPLES)
-    t = 1.0 - x * x
-    acc = np.zeros_like(t)
-    power = np.ones_like(t)
-    for c in series:
-        acc += c * power
-        power = power * t
-    val = -acc
-    deriv = 2.0 * float(np.sum(np.arange(len(series)) * np.abs(series)))
-    if linear:
-        val = 0.5 * (val + x)
-        deriv = 0.5 * deriv + 0.5
-    err = float(np.max(np.abs(val - target(x))))
+    err = float(np.max(np.abs(_evaluate(series, linear, x) - target(x))))
     h = 2.0 / (SUP_SAMPLES - 1)
     # target functions |x| and x_+ are 1-Lipschitz
-    slack = (deriv + 1.0) * h / 2.0
+    slack = (_derivative_bound(series, linear) + 1.0) * h / 2.0
     return err, slack
 
 

@@ -273,10 +273,6 @@ def lp_norm(f: DiscreteSignal, p: float) -> float:
     return float(np.sum(a ** p) ** (1.0 / p))
 
 
-def _convolve_direct(fv: np.ndarray, gv: np.ndarray) -> np.ndarray:
-    return np.convolve(fv, gv)
-
-
 def _convolve_fft(fv: np.ndarray, gv: np.ndarray) -> np.ndarray:
     out_len = len(fv) + len(gv) - 1
     size = 1
@@ -295,7 +291,7 @@ def convolve(f: DiscreteSignal, g: DiscreteSignal,
         raise ResourceError(
             f"convolution output length {out_len} exceeds cap {max_length}")
     if max(len(f.values), len(g.values)) <= FFT_CONV_THRESHOLD:
-        vals = _convolve_direct(f.values, g.values)
+        vals = np.convolve(f.values, g.values)
     else:
         vals = _convolve_fft(f.values, g.values)
     return DiscreteSignal(f.support_lo + g.support_lo, vals)
@@ -354,6 +350,9 @@ def read_csv(path) -> DiscreteSignal:
     if not entries:
         return DiscreteSignal.zero()
     lo, hi = min(entries), max(entries)
+    if hi - lo + 1 > MAX_CONV_LENGTH:
+        raise ResourceError(
+            f"{path}: index span [{lo}, {hi}] exceeds cap {MAX_CONV_LENGTH}")
     vals = np.zeros(hi - lo + 1)
     for n, v in entries.items():
         vals[n - lo] = v

@@ -1,0 +1,77 @@
+"""Golden reports: fixed pipeline configs and CLI calls whose bytes must not move.
+
+Each case's output is compared byte for byte with its file under
+`tests/golden/`.  A change that is meant to move report bytes regenerates the
+files and says why; any other change must leave them as they are.  To write
+the files from the current sources:
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from densemodel.cli import main
+from densemodel.pipeline import PipelineConfig, run_pipeline
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+PIPELINE_CASES = {
+    "pipeline_green_sparse_N500": dict(N=500, variant="green", eps=0.2, eta=0.2, seed=7),
+    "pipeline_hdr_sparse_N500": dict(N=500, variant="hdr", eps=0.2, eta=0.2, seed=7),
+    "pipeline_naslund_sparse_N500": dict(N=500, variant="naslund", seed=7),
+    "pipeline_green_sparse_N2000": dict(N=2000, variant="green", eps=0.3, eta=0.3, seed=1),
+    "pipeline_hdr_sparse_N2000": dict(N=2000, variant="hdr", eps=0.3, eta=0.3, seed=1),
+    "pipeline_naslund_sparse_N2000": dict(N=2000, variant="naslund", seed=1),
+    "pipeline_hdr_primes_N1000": dict(N=1000, majorant="primes", variant="hdr", eps=0.3),
+    "pipeline_green_squares_N1000": dict(N=1000, majorant="squares", variant="green",
+                                         eps=0.3, eta=0.3),
+    "pipeline_hahn_banach_sparse_N300": dict(N=300, variant="hahn_banach", seed=7),
+}
+
+DENSIFY_ARGV = ["densify", "--kind", "sparse", "--N", "300", "--seed", "3",
+                "--eps", "0.25", "--eta", "0.25", "--variant"]
+DENSIFY_CASES = {f"densify_{v}_sparse_N300": DENSIFY_ARGV + [v]
+                 for v in ("green", "hdr", "naslund", "hahn_banach")}
+
+
+def _pipeline_bytes(name: str) -> str:
+    return run_pipeline(PipelineConfig(**PIPELINE_CASES[name])).to_json()
+
+
+def _densify_bytes(name: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(DENSIFY_CASES[name])
+    assert code == 0
+    return out.getvalue()
+
+
+def _expected(name: str) -> str:
+    return (GOLDEN / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(PIPELINE_CASES))
+def test_pipeline_report_matches_golden(name) -> None:
+    assert _pipeline_bytes(name) == _expected(name)
+
+
+@pytest.mark.parametrize("name", sorted(DENSIFY_CASES))
+def test_densify_output_matches_golden(name) -> None:
+    assert _densify_bytes(name) == _expected(name)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_golden.py --write")
+    GOLDEN.mkdir(exist_ok=True)
+    for case in sorted(PIPELINE_CASES):
+        (GOLDEN / f"{case}.json").write_text(_pipeline_bytes(case))
+    for case in sorted(DENSIFY_CASES):
+        (GOLDEN / f"{case}.json").write_text(_densify_bytes(case))

@@ -223,3 +223,38 @@ class TestOptimizedInterpreter:
         assert got["corr2"] == hdr_model(f, nu, 0.2).checks["corr2"]
         assert got["corr2"] == pytest.approx(brute, rel=1e-12)
         assert got["l2_ok"]
+
+
+class TestNaslundDifferenceSet:
+    @pytest.mark.parametrize("freqs, eps, N", [
+        ([], 0.001, 100),                 # {0}
+        ([], 0.3, 2000),                  # an interval, FFT path
+        ([0.1], 0.2, 500),
+        ([0.137, 0.42], 0.3, 2000),
+        ([0.0123, 0.3331, 0.71], 0.5, 3000),
+    ])
+    def test_matches_pairwise_unique(self, freqs, eps, N) -> None:
+        from densemodel.bohr import bohr_enumerate
+        from densemodel.models import _positive_differences
+
+        B = bohr_enumerate(freqs, eps, N)
+        diffs = np.unique(B.elements[None, :] - B.elements[:, None])
+        got = _positive_differences(B)
+        assert got.dtype == diffs.dtype
+        assert np.array_equal(got, diffs[diffs > 0])
+
+    def test_exact_order_three_against_direct_sum(self) -> None:
+        from densemodel.bohr import bohr_enumerate
+        from densemodel.models import _bohr_restricted_correlations
+
+        nu = make_random_sparse(300, 0.6, seed=2)
+        B = bohr_enumerate([0.21, 0.47], 0.1, nu.N)
+        corr = _bohr_restricted_correlations(nu, B, 3)
+        assert corr[3]["method"] == "exact"
+        v = np.zeros(nu.N)
+        v[nu.signal.support_lo - 1: nu.signal.support_hi] = nu.signal.values
+        diffs = np.unique(B.elements[None, :] - B.elements[:, None])
+        pos = [int(d) for d in diffs if 0 < d < nu.N]
+        brute = max(float(np.sum(v[:nu.N - b] * v[a:a + nu.N - b] * v[b:]))
+                    for i, a in enumerate(pos) for b in pos[i + 1:])
+        assert corr[3]["value"] == pytest.approx(brute / nu.N, rel=1e-12)

@@ -270,3 +270,27 @@ class TestFftRoundingBound:
         exact = np.convolve(x.values, y.values)
         rho = fft_rounding_bound(len(fast), lp_norm(x, 2) * lp_norm(y, 2))
         assert np.max(np.abs(fast - exact)) <= rho
+
+
+class TestCsvSpanCap:
+    @pytest.mark.parametrize("hi", [(1 << 24) + 1, 10 ** 12])
+    def test_span_over_cap_raises_before_allocating(self, tmp_path, hi) -> None:
+        from densemodel.errors import ResourceError
+
+        path = tmp_path / "wide.csv"
+        path.write_text(f"n,value\n1,1.0\n{hi},2.0\n")
+        with pytest.raises(ResourceError, match="span"):
+            read_csv(path)
+
+    def test_span_at_cap_is_read(self, tmp_path, monkeypatch) -> None:
+        import densemodel.signals as signals
+        from densemodel.errors import ResourceError
+
+        monkeypatch.setattr(signals, "MAX_CONV_LENGTH", 1000)
+        path = tmp_path / "cap.csv"
+        path.write_text("n,value\n-10,1.0\n989,2.0\n")
+        f = read_csv(path)
+        assert (f.support_lo, f.support_hi) == (-10, 989)
+        path.write_text("n,value\n-10,1.0\n990,2.0\n")
+        with pytest.raises(ResourceError):
+            read_csv(path)
