@@ -31,17 +31,17 @@ class SpectrumSet:
     eta: float
     M: int
     interval_indices: np.ndarray = field(repr=False)
-    representatives: np.ndarray = field(repr=False)
     capped: bool = False
 
     def __post_init__(self):
-        for name in ("interval_indices", "representatives"):
-            arr = np.asarray(getattr(self, name))
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        if len(self.interval_indices) != len(self.representatives):
-            raise ValidationError("one representative per interval required")
+        arr = np.asarray(self.interval_indices).copy()
+        arr.flags.writeable = False
+        object.__setattr__(self, "interval_indices", arr)
+
+    @property
+    def representatives(self) -> np.ndarray:
+        """The grid point j/M of each interval."""
+        return self.interval_indices / self.M
 
     @property
     def r(self) -> int:
@@ -73,8 +73,7 @@ def spectrum(f: DiscreteSignal, nu: Majorant, eta: float,
     mods = np.abs(grid_fourier(f, grid))
     idx = np.nonzero(mods >= threshold - grid_fourier_rounding(f, grid))[0]
     return SpectrumSet(threshold=threshold, eta=eta, M=M,
-                       interval_indices=idx, representatives=idx / M,
-                       capped=capped)
+                       interval_indices=idx, capped=capped)
 
 
 def circle_distance(x) -> np.ndarray:
@@ -119,8 +118,7 @@ class BohrSet:
         }
 
 
-def bohr_enumerate(freqs, eps: float, N: int,
-                   tol: float = MEMBERSHIP_TOL) -> BohrSet:
+def bohr_enumerate(freqs, eps: float, N: int) -> BohrSet:
     """Direct scan of [-floor(eps N), floor(eps N)] against every frequency.
 
     The recorded pigeonhole floor eps*N/2 * ceil(2/eps)^(-r) is guaranteed for
@@ -133,7 +131,7 @@ def bohr_enumerate(freqs, eps: float, N: int,
     freqs = np.atleast_1d(np.asarray(freqs, dtype=np.float64))
     nmax = int(math.floor(eps * N))
     cands = np.arange(-nmax, nmax + 1)
-    bound = eps + tol
+    bound = eps + MEMBERSHIP_TOL
     for start in range(0, len(freqs), FREQ_CHUNK):
         if len(cands) == 0:
             break

@@ -190,11 +190,16 @@ def cmd_pipeline(args) -> None:
             f"strict mode: flags raised: {report.data['flags']}")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid-M", type=int, default=0, dest="grid_M",
-                   help="frequency grid size (0 = automatic)")
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
+def _add_common(p: argparse.ArgumentParser, *, grid_M: bool = False,
+                tol: bool = False, seed: bool = False) -> None:
+    """--strict, and each shared flag that the subcommand reads."""
+    if grid_M:
+        p.add_argument("--grid-M", type=int, default=0, dest="grid_M",
+                       help="frequency grid size (0 = automatic)")
+    if tol:
+        p.add_argument("--tol", type=float, default=1e-6)
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
     p.add_argument("--strict", action="store_true",
                    help="exit nonzero on any capping or flag")
 
@@ -220,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--diagnose", action="store_true")
     p.add_argument("--k-max", type=int, default=2)
     p.add_argument("--out", default="", help="write the signal as CSV")
-    _add_common(p)
+    _add_common(p, grid_M=True, seed=True)
     p.set_defaults(fn=cmd_majorant)
 
     p = sub.add_parser("bohr", help="enumerate a Bohr set with its certificate")
@@ -242,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--p", type=float, default=4.0)
     p.add_argument("--g-out", default="", help="write g as CSV")
-    _add_common(p)
+    _add_common(p, grid_M=True, tol=True, seed=True)
     p.set_defaults(fn=cmd_densify)
 
     p = sub.add_parser("count", help="weighted solution count of a linear form")
@@ -257,13 +262,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("minimax", help="saddle value over two point hulls")
     p.add_argument("--a-gens", required=True, help="rows 'x,y;x,y;...'")
     p.add_argument("--b-gens", required=True)
-    _add_common(p)
+    _add_common(p, tol=True)
     p.set_defaults(fn=cmd_minimax)
 
     p = sub.add_parser("project", help="nearest point in a hull plus witness")
     p.add_argument("--point", required=True)
     p.add_argument("--gens", required=True, help="rows 'x,y;x,y;...'")
-    _add_common(p)
+    _add_common(p, tol=True)
     p.set_defaults(fn=cmd_project)
 
     p = sub.add_parser("weierstrass",
@@ -278,9 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="run the full counting pipeline")
     p.add_argument("--config", default="", help="flat key=value config file")
     p.add_argument("--N", type=int, default=0)
-    p.add_argument("--variant", default="")
+    p.add_argument("--variant", default="", choices=pipeline.VARIANTS)
     p.add_argument("--out", default="", help="write the JSON report here")
-    _add_common(p)
+    _add_common(p, grid_M=True, tol=True, seed=True)
     # no --seed or --tol keeps the config file's value (the default without a file)
     p.set_defaults(fn=cmd_pipeline, seed=None, tol=None)
 

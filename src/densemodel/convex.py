@@ -21,6 +21,7 @@ from .signals import DiscreteSignal
 
 DEFAULT_TOL = 1e-8
 FW_MAX_ITER = 50_000
+DUAL_DIRECTIONS = 16
 
 
 @dataclass(frozen=True)
@@ -76,8 +77,7 @@ class HullProjection:
     witness: HyperplaneWitness | None
 
 
-def project_onto_hull(x, A: PointHull, tol: float = DEFAULT_TOL,
-                      max_iter: int = FW_MAX_ITER) -> HullProjection:
+def project_onto_hull(x, A: PointHull, tol: float = DEFAULT_TOL) -> HullProjection:
     """Nearest point of hull(A) to x, certified by the Frank-Wolfe gap.
 
     Away steps make the active set sparse and restore linear convergence.  If
@@ -96,7 +96,7 @@ def project_onto_hull(x, A: PointHull, tol: float = DEFAULT_TOL,
     lam[int(np.argmin(np.sum((gens - x) ** 2, axis=1)))] = 1.0
     gap = math.inf
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, FW_MAX_ITER + 1):
         y = lam @ gens
         grad = y - x
         scores = gens @ grad
@@ -203,33 +203,28 @@ class DualNormEstimate:
 
     upper: float
     lower: float
-    flags: tuple = ()
 
     def as_dict(self) -> dict:
-        return {"upper": self.upper, "lower": self.lower, "flags": list(self.flags)}
+        return {"upper": self.upper, "lower": self.lower}
 
 
-def dual_norm_upper(phi, grid_m: int | None = None,
-                    directions: int = 16) -> DualNormEstimate:
+def dual_norm_upper(phi) -> DualNormEstimate:
     """Upper bound for the dual of the Fourier sup norm by constraint relaxation.
 
     Maximizes Re<f, phi> over f in C^N subject to the D-direction linearized
-    constraints |fhat(j/M)| <= 1; the feasible set contains the true unit ball,
-    so the optimum dominates the dual norm.  The trivial lower bound is
-    ||phi||_inf.
+    constraints |fhat(j/M)| <= 1 at M = max(2N, 16) grid points, D =
+    DUAL_DIRECTIONS; the feasible set contains the true unit ball, so the
+    optimum dominates the dual norm (M >= N keeps it bounded).  The trivial
+    lower bound is ||phi||_inf.
     """
     phi = np.asarray(phi, dtype=np.complex128)
     N = len(phi)
     if N < 1:
         raise ValidationError("phi must be non-empty")
-    if directions < 3:
-        raise ValidationError("need at least 3 directions")
-    M = grid_m if grid_m is not None else max(2 * N, 16)
-    if M < N:
-        raise ValidationError("grid must have at least N points for boundedness")
+    M = max(2 * N, 16)
     n = np.arange(1, N + 1)
     alphas = np.arange(M) / M
-    psis = 2.0 * np.pi * np.arange(directions) / directions
+    psis = 2.0 * np.pi * np.arange(DUAL_DIRECTIONS) / DUAL_DIRECTIONS
     theta = 2.0 * np.pi * np.outer(alphas, n)  # (M, N)
     # variables (u_1..u_N, v_1..v_N); maximize sum u Re(phi) + v Im(phi)
     c = np.concatenate([-phi.real, -phi.imag])
@@ -240,12 +235,11 @@ def dual_norm_upper(phi, grid_m: int | None = None,
     b_ub = np.ones(A_ub.shape[0])
     res = linprog(c, A_ub=A_ub, b_ub=b_ub,
                   bounds=[(None, None)] * (2 * N), method="highs")
-    flags = ()
     if not res.success:
         raise DenseModelError(f"dual norm LP failed: {res.message}")
     upper = float(-res.fun)
     lower = float(np.max(np.abs(phi)))
-    return DualNormEstimate(upper=upper, lower=lower, flags=flags)
+    return DualNormEstimate(upper=upper, lower=lower)
 
 
 def positive_part_split(psi: DiscreteSignal) -> tuple[DiscreteSignal, DiscreteSignal]:

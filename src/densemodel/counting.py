@@ -17,7 +17,6 @@ import numpy as np
 from .errors import ResourceError, ValidationError
 from .signals import (
     DiscreteSignal,
-    FrequencyGrid,
     default_grid,
     fourier_sup_diff,
     lp_norm,
@@ -83,12 +82,11 @@ def _wrap_modulus(form: LinearForm, weights) -> int:
     return W
 
 
-def _dilated_cyclic(w: DiscreteSignal, c: int, W: int,
-                    dtype=np.float64) -> np.ndarray:
+def _dilated_cyclic(w: DiscreteSignal, c: int, W: int) -> np.ndarray:
     """F(m) = w(m/c) when c divides m, folded onto Z/W."""
-    buf = np.zeros(W, dtype=dtype)
+    buf = np.zeros(W)
     idx = np.mod(w.indices * c, W)
-    np.add.at(buf, idx, w.values.astype(dtype))
+    np.add.at(buf, idx, w.values)
     return buf
 
 
@@ -207,7 +205,6 @@ class TransferErrorReport:
 
 
 def transfer_error_bound(form: LinearForm, f: DiscreteSignal, g: DiscreteSignal,
-                         grid: FrequencyGrid | None = None,
                          count_f: float | None = None,
                          count_g: float | None = None) -> TransferErrorReport:
     """Delta = sup_err * s * max(||.||_2)^2 * max(||.||_1)^(s-3).
@@ -219,10 +216,8 @@ def transfer_error_bound(form: LinearForm, f: DiscreteSignal, g: DiscreteSignal,
     `count_weighted(form, [f] * s)` and `[g] * s` it already holds, and the
     inequality is checked on the instance.
     """
-    if grid is None:
-        span = max(f.support_hi, g.support_hi) - min(f.support_lo, g.support_lo) + 1
-        grid = default_grid(span)
-    sup_err = fourier_sup_diff(f, g, grid).certified_upper
+    span = max(f.support_hi, g.support_hi) - min(f.support_lo, g.support_lo) + 1
+    sup_err = fourier_sup_diff(f, g, default_grid(span)).certified_upper
     m2 = max(lp_norm(f, 2), lp_norm(g, 2))
     m1 = max(lp_norm(f, 1), lp_norm(g, 1))
     s = form.s

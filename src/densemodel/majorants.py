@@ -25,6 +25,8 @@ from .signals import (
 )
 
 MASS_WINDOW = (0.5, 2.0)  # allowed l1_mass / N range
+SHIFT_SAMPLES = 2000  # sampled shift tuples per correlation order
+RESTRICTION_MASKS = 8  # random sign masks beside phi = nu
 
 
 @dataclass(frozen=True)
@@ -215,7 +217,7 @@ def _shift_tuples(l: int, N: int, shift_samples: int, rng) -> tuple[list, bool]:
     return sorted(tuples), False
 
 
-def max_correlation(nu: Majorant, l: int, shift_samples: int = 2000,
+def max_correlation(nu: Majorant, l: int, shift_samples: int = SHIFT_SAMPLES,
                     seed: int = 0) -> tuple[float, bool]:
     """Max over tested distinct l-tuples of sum_n nu(n+m_1)...nu(n+m_l), over N."""
     if l < 1:
@@ -234,7 +236,8 @@ def max_correlation(nu: Majorant, l: int, shift_samples: int = 2000,
 
 
 def restriction_lower_estimate(nu: Majorant, p: float, grid: FrequencyGrid,
-                               n_masks: int = 8, seed: int = 0) -> float:
+                               n_masks: int = RESTRICTION_MASKS,
+                               seed: int = 0) -> float:
     """Sampled LOWER estimate of sup_{|phi|<=nu} int |phihat|^p, normalized.
 
     Tests phi = nu and random sign masks of nu; the integral is the grid
@@ -256,9 +259,8 @@ def restriction_lower_estimate(nu: Majorant, p: float, grid: FrequencyGrid,
 
 
 def diagnose(nu: Majorant, grid: FrequencyGrid | None = None, k_max: int = 2,
-             p_list: tuple = (4.0,), shift_samples: int = 2000,
              seed: int = 0) -> MajorantDiagnostics:
-    """Measure every hypothesis level: decay, L^2/L^inf, correlations, restriction."""
+    """Measure every hypothesis level; the restriction estimate is taken at p = 4."""
     if k_max < 2:
         raise ValidationError("diagnose needs k_max >= 2")
     if grid is None:
@@ -271,9 +273,8 @@ def diagnose(nu: Majorant, grid: FrequencyGrid | None = None, k_max: int = 2,
     corr = {}
     corr_exhaustive = {}
     for l in range(2, k_max + 1):
-        corr[l], corr_exhaustive[l] = max_correlation(nu, l, shift_samples, seed)
-    restriction = {float(p): restriction_lower_estimate(nu, float(p), grid, seed=seed)
-                   for p in p_list}
+        corr[l], corr_exhaustive[l] = max_correlation(nu, l, SHIFT_SAMPLES, seed)
+    restriction = {4.0: restriction_lower_estimate(nu, 4.0, grid, seed=seed)}
     return MajorantDiagnostics(
         theta_decay=theta_decay,
         theta_L2=theta_L2,
@@ -281,6 +282,6 @@ def diagnose(nu: Majorant, grid: FrequencyGrid | None = None, k_max: int = 2,
         corr=corr,
         corr_exhaustive=corr_exhaustive,
         restriction_estimate=restriction,
-        provenance={"grid_M": grid.M, "shift_samples": shift_samples,
-                    "seed": seed, "restriction_masks": 8},
+        provenance={"grid_M": grid.M, "shift_samples": SHIFT_SAMPLES,
+                    "seed": seed, "restriction_masks": RESTRICTION_MASKS},
     )

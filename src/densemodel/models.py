@@ -55,6 +55,7 @@ class DenseModelReport:
     g_lk_over_N: float | None = None
     checks: dict = field(default_factory=dict)
     flags: list = field(default_factory=list)
+    claims: list = field(default_factory=list)  # (name, value, bound, ok); not in as_dict
 
     def as_dict(self) -> dict:
         d = {
@@ -99,14 +100,14 @@ def _power_sum(sig: DiscreteSignal, k: float) -> float:
 
 def _report(variant: str, params: dict, f: DiscreteSignal, nu: Majorant,
             g: DiscreteSignal, err: CertifiedSup, checks: dict, flags: list,
-            lk_sum: float | None = None) -> DenseModelReport:
+            claims: list, lk_sum: float | None = None) -> DenseModelReport:
     """The report of one construction; its norms and masses are read off f and g."""
     return DenseModelReport(
         variant=variant, params=params, g=g, fourier_err=err,
         g_linf=lp_norm(g, np.inf), g_l2_over_N=_power_sum(g, 2) / nu.N,
         mass_f=float(np.sum(f.values)), mass_g=float(np.sum(g.values)),
         g_lk_over_N=None if lk_sum is None else lk_sum / nu.N,
-        checks=checks, flags=flags)
+        checks=checks, flags=flags, claims=claims)
 
 
 def _convolution_model(f: DiscreteSignal, nu: Majorant, eps: float,
@@ -156,32 +157,36 @@ def _convolution_model(f: DiscreteSignal, nu: Majorant, eps: float,
         "bohr_size": B.size,
         "spectrum_r": spec.r,
     }
+    claims = [(c, checks[f"{c}_max"], checks[f"{c}_bound"], checks[f"{c}_ok"])
+              for c in ("off_spectrum", "representative")]
     flags = ["spectrum_grid_capped"] if spec.capped else []
-    return B, sigma, g, grid, err, checks, flags
+    return B, sigma, g, grid, err, checks, flags, claims
 
 
 def green_model(f: DiscreteSignal, nu: Majorant, eps: float, eta: float,
                 grid: FrequencyGrid | None = None,
                 strict: bool = False) -> DenseModelReport:
     """g = f * sigma * sigma: the doubly smoothed, L^inf-bounded approximant."""
-    B, _, g, grid, err, checks, flags = _convolution_model(
+    B, _, g, grid, err, checks, flags, claims = _convolution_model(
         f, nu, eps, eta, power=2, grid=grid, strict=strict)
     # instance form of the L^inf chain: g <= 1 + theta_decay * N / |B|
     decay = fourier_sup_diff(nu.signal, DiscreteSignal.interval(nu.N), grid)
     theta_decay = decay.certified_upper / nu.N
     linf_bound = 1.0 + theta_decay * nu.N / B.size
+    g_linf = lp_norm(g, np.inf)
     checks["theta_decay"] = theta_decay
     checks["linf_bound"] = linf_bound
-    checks["linf_ok"] = lp_norm(g, np.inf) <= linf_bound * (1 + 1e-9)
+    checks["linf_ok"] = g_linf <= linf_bound * (1 + 1e-9)
+    claims.append(("g_linf", g_linf, linf_bound, checks["linf_ok"]))
     return _report("green", {"eps": eps, "eta": eta, "grid_M": grid.M},
-                   f, nu, g, err, checks, flags)
+                   f, nu, g, err, checks, flags, claims)
 
 
 def hdr_model(f: DiscreteSignal, nu: Majorant, eps: float,
               grid: FrequencyGrid | None = None,
               strict: bool = False) -> DenseModelReport:
     """g = f * sigma with eta = eps: the singly smoothed, L^2-bounded approximant."""
-    B, _, g, grid, err, checks, flags = _convolution_model(
+    B, _, g, grid, err, checks, flags, claims = _convolution_model(
         f, nu, eps, eps, power=1, grid=grid, strict=strict)
     theta_L2 = lp_norm(nu.signal, 2) ** 2 / nu.N ** 2
     # exact: every shift m != 0 is tested
@@ -196,8 +201,9 @@ def hdr_model(f: DiscreteSignal, nu: Majorant, eps: float,
         "l2_bound": l2_bound,
         "l2_ok": l2 <= l2_bound * (1 + 1e-9),
     })
+    claims.append(("g_l2", l2, l2_bound, checks["l2_ok"]))
     return _report("hdr", {"eps": eps, "eta": eps, "grid_M": grid.M},
-                   f, nu, g, err, checks, flags)
+                   f, nu, g, err, checks, flags, claims)
 
 
 def _positive_differences(B: BohrSet) -> np.ndarray:
@@ -205,8 +211,8 @@ def _positive_differences(B: BohrSet) -> np.ndarray:
 
     Read off the autocorrelation of 1_B, whose value at lag d counts the pairs
     with a - b = d.  The counts are integers and their FFT error is at most
-    fft_rounding_bound(MAX_CONV_LENGTH, |B|), below 1e-9 for |B| <= 4096, so
-    the cut at 1/2 is exact.
+    fft_rounding_bound(MAX_CONV_LENGTH, |B|) <= 3.1e-6 for every autocorrelation
+    under the convolution cap, so the cut at 1/2 is exact.
     """
     elems = B.elements
     ind = np.zeros(int(elems[-1] - elems[0]) + 1)
@@ -224,11 +230,7 @@ def _bohr_restricted_correlations(nu: Majorant, B: BohrSet, k: int) -> dict:
     budget fall back to the certified collapse corr_l <= (theta N)^{l-2} corr_2.
     """
     N = nu.N
-    if B.size <= 4096:
-        pos = _positive_differences(B)
-    else:
-        # large Bohr set: every lag in the window is possible
-        pos = np.arange(1, 2 * int(B.elements[-1]) + 1)
+    pos = _positive_differences(B)
     pos = pos[pos < N]
     theta = lp_norm(nu.signal, np.inf) / N
     out = {1: {"value": nu.l1_mass / N, "method": "exact"}}
@@ -262,7 +264,7 @@ def naslund_model(f: DiscreteSignal, nu: Majorant, k: int, p: float,
         raise ValidationError("naslund_model needs L^inf level theta < 1")
     log_inv = math.log(1.0 / theta)
     eps = min(0.5, (2.0 * NASLUND_C_P / log_inv) ** (1.0 / (p + 2)))
-    B, sigma, g, grid, err, checks, flags = _convolution_model(
+    B, sigma, g, grid, err, checks, flags, claims = _convolution_model(
         f, nu, eps, eps, power=1, grid=grid, strict=strict)
     if k > 0.5 * math.sqrt(log_inv):
         flags.append("k_exceeds_hypothesis_window")
@@ -290,10 +292,11 @@ def naslund_model(f: DiscreteSignal, nu: Majorant, k: int, p: float,
         "lk_collapse_ok": lk <= chain_bound * (1 + 1e-9),
         "corr_constants": {str(l): corr[l] for l in corr},
     })
+    claims.append(("g_lk", lk, chain_bound, checks["lk_collapse_ok"]))
     return _report("naslund", {"eps": eps, "eta": eps, "k": k, "p": p,
                                "C_p": NASLUND_C_P, "theta": theta,
                                "grid_M": grid.M},
-                   f, nu, g, err, checks, flags, lk_sum=lk)
+                   f, nu, g, err, checks, flags, claims, lk_sum=lk)
 
 
 def clamp_to_unit_window(g: DiscreteSignal, N: int) -> DiscreteSignal:
@@ -397,4 +400,5 @@ def hahn_banach_model(f: DiscreteSignal, nu: Majorant,
     }
     return _report("hahn_banach",
                    {"grid_M": M, "directions": directions, "tol": tol},
-                   f, nu, g, err, checks, flags)
+                   f, nu, g, err, checks, flags,
+                   [("lp_optimum", t_star, checks["t_upper"], converged)])

@@ -203,17 +203,23 @@ def canonical_json(data: dict) -> str:
                       separators=(",", ": ")) + "\n"
 
 
+def _entry(table: dict, name: str, what: str):
+    if name not in table:
+        raise ValidationError(f"unknown {what} {name!r}; choose from {', '.join(table)}")
+    return table[name]
+
+
 def build_majorant(kind: str, N: int, exponent: float, seed: int) -> Majorant:
     """The majorant of one of MAJORANT_KINDS; exponent and seed apply to sparse."""
-    return _MAJORANT_MAKERS[kind](N, exponent=exponent, seed=seed)
+    return _entry(_MAJORANT_MAKERS, kind, "majorant")(N, exponent=exponent, seed=seed)
 
 
 def run_model(variant: str, f: DiscreteSignal, nu: Majorant, *, eps: float,
               eta: float, k: int, p: float, grid: FrequencyGrid | None,
               tol: float, strict: bool):
     """g by one of VARIANTS; each variant reads the options its model takes."""
-    return _MODEL_CALLS[variant](f, nu, grid, eps=eps, eta=eta, k=k, p=p,
-                                 tol=tol, strict=strict)
+    return _entry(_MODEL_CALLS, variant, "variant")(f, nu, grid, eps=eps, eta=eta,
+                                                    k=k, p=p, tol=tol, strict=strict)
 
 
 def select_subset(nu: Majorant, delta: float, selection: str,
@@ -286,24 +292,8 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineReport:
 
     claim("fourier_err_upper", "certified-bound",
           model.fourier_err.certified_upper)
-    checks = model.checks
-    if "off_spectrum_max" in checks:
-        claim("off_spectrum", "certified-bound", checks["off_spectrum_max"],
-              checks["off_spectrum_bound"], checks["off_spectrum_ok"])
-        claim("representative", "certified-bound", checks["representative_max"],
-              checks["representative_bound"], checks["representative_ok"])
-    if "linf_bound" in checks:
-        claim("g_linf", "certified-bound", model.g_linf,
-              checks["linf_bound"], checks["linf_ok"])
-    if "l2_bound" in checks:
-        claim("g_l2", "certified-bound", checks["l2_sum"],
-              checks["l2_bound"], checks["l2_ok"])
-    if "lk_collapse_bound" in checks:
-        claim("g_lk", "certified-bound", checks["lk_sum"],
-              checks["lk_collapse_bound"], checks["lk_collapse_ok"])
-    if "t_star" in checks:
-        claim("lp_optimum", "certified-bound", checks["t_star"],
-              checks["t_upper"], checks["converged"])
+    for name, value, bound, ok in model.claims:
+        claim(name, "certified-bound", value, bound, ok)
     claim("transfer", "certified-bound",
           abs(transfer.count_f - transfer.count_g), transfer.delta, transfer.ok)
     claim("threshold_floor", "exact", threshold.size,

@@ -136,10 +136,6 @@ class FrequencyGrid:
         """Half the grid spacing: no point of the circle is further from the grid."""
         return 0.5 / self.M
 
-    @property
-    def points(self) -> np.ndarray:
-        return np.arange(self.M) / self.M
-
 
 def default_grid(support_length: int) -> FrequencyGrid:
     return FrequencyGrid(max(4096, 8 * max(1, support_length)))
@@ -283,13 +279,12 @@ def _convolve_fft(fv: np.ndarray, gv: np.ndarray) -> np.ndarray:
     return np.fft.irfft(F * G, size)[:out_len]
 
 
-def convolve(f: DiscreteSignal, g: DiscreteSignal,
-             max_length: int = MAX_CONV_LENGTH) -> DiscreteSignal:
+def convolve(f: DiscreteSignal, g: DiscreteSignal) -> DiscreteSignal:
     """(f*g)(n) = sum_{a+b=n} f(a) g(b) on the window [f.lo+g.lo, f.hi+g.hi]."""
     out_len = len(f.values) + len(g.values) - 1
-    if out_len > max_length:
+    if out_len > MAX_CONV_LENGTH:
         raise ResourceError(
-            f"convolution output length {out_len} exceeds cap {max_length}")
+            f"convolution output length {out_len} exceeds cap {MAX_CONV_LENGTH}")
     if max(len(f.values), len(g.values)) <= FFT_CONV_THRESHOLD:
         vals = np.convolve(f.values, g.values)
     else:

@@ -258,3 +258,67 @@ class TestNaslundDifferenceSet:
         brute = max(float(np.sum(v[:nu.N - b] * v[a:a + nu.N - b] * v[b:]))
                     for i, a in enumerate(pos) for b in pos[i + 1:])
         assert corr[3]["value"] == pytest.approx(brute / nu.N, rel=1e-12)
+
+
+class TestNaslundLargeBohrSet:
+    """Bohr sets of any size go through the one difference-set path."""
+
+    def test_corr2_ranges_over_differences_only(self) -> None:
+        # B is the 4801 even numbers in [-4800, 4800], so only even lags count
+        from densemodel.bohr import bohr_enumerate
+        from densemodel.models import _bohr_restricted_correlations
+
+        nu = make_random_sparse(12000, 2 / 3, seed=1)
+        B = bohr_enumerate([0.5], 0.4, nu.N)
+        assert B.size == 4801 and np.all(B.elements % 2 == 0)
+        v = np.zeros(nu.N)
+        v[nu.signal.support_lo - 1: nu.signal.support_hi] = nu.signal.values
+        even = max(float(np.dot(v[:-m], v[m:])) for m in range(2, 9601, 2)) / nu.N
+        every = max(float(np.dot(v[:-m], v[m:])) for m in range(1, 9601)) / nu.N
+        assert every > even * 1.05  # an odd lag would show
+        corr = _bohr_restricted_correlations(nu, B, 2)
+        assert corr[2]["method"] == "exact"
+        assert corr[2]["value"] == pytest.approx(even, rel=1e-12)
+        assert corr[2]["value"] == pytest.approx(1.7138, abs=1e-4)
+
+    @pytest.mark.parametrize("freqs, eps, N", [([0.5], 0.4, 12000), ([0.123], 0.3, 30000)])
+    def test_positive_differences_match_integer_convolution(self, freqs, eps, N) -> None:
+        from densemodel.bohr import bohr_enumerate
+        from densemodel.models import _positive_differences
+
+        B = bohr_enumerate(freqs, eps, N)
+        assert B.size > 4096
+        e = B.elements
+        ind = np.zeros(int(e[-1] - e[0]) + 1, dtype=np.int64)
+        ind[e - e[0]] = 1
+        counts = np.convolve(ind, ind[::-1])[len(ind):]
+        assert np.array_equal(_positive_differences(B), np.nonzero(counts)[0] + 1)
+
+
+class TestModelClaims:
+    """Each construction states its own certified inequalities."""
+
+    NAMES = {
+        "green": ["off_spectrum", "representative", "g_linf"],
+        "hdr": ["off_spectrum", "representative", "g_l2"],
+        "naslund": ["off_spectrum", "representative", "g_lk"],
+        "hahn_banach": ["lp_optimum"],
+    }
+
+    @pytest.mark.parametrize("variant", sorted(NAMES))
+    def test_claims_reach_the_pipeline_report(self, variant) -> None:
+        from densemodel.pipeline import PipelineConfig, run_model, run_pipeline
+
+        cfg = PipelineConfig(N=200, variant=variant, eps=0.2, eta=0.2, seed=5)
+        nu = make_random_sparse(cfg.N, cfg.exponent, cfg.seed)
+        f, _ = select_subset(nu, cfg.delta, cfg.selection, cfg.seed)
+        model = run_model(variant, f, nu, eps=cfg.eps, eta=cfg.eta, k=cfg.k, p=cfg.p,
+                          grid=None, tol=cfg.tol, strict=False)
+        assert [c[0] for c in model.claims] == self.NAMES[variant]
+        assert "claims" not in model.as_dict()
+        claims = run_pipeline(cfg).data["claims"]
+        # the model's claims follow fourier_err_upper, in the model's order
+        stated = claims[1:1 + len(model.claims)]
+        assert [(c["name"], c["kind"], c["value"], c["bound"], c["ok"]) for c in stated] == \
+            [(n, "certified-bound", v, b, bool(ok)) for n, v, b, ok in model.claims]
+        assert claims[len(model.claims) + 1]["name"] == "transfer"

@@ -8,7 +8,7 @@ import pytest
 
 import densemodel.pipeline as pipeline
 from densemodel.cli import build_parser, main
-from densemodel.errors import EXIT_OK, EXIT_RESOURCE
+from densemodel.errors import EXIT_OK, EXIT_RESOURCE, EXIT_VALIDATION, ValidationError
 from densemodel.majorants import make_random_sparse
 from densemodel.models import green_model, hahn_banach_model, hdr_model, naslund_model
 from densemodel.pipeline import (
@@ -118,3 +118,61 @@ class TestCliStrictForwarding:
         captured = capsys.readouterr()
         assert code == EXIT_RESOURCE
         assert captured.out == ""
+
+
+class TestUnknownNames:
+    def test_build_majorant_rejects_unknown_kind(self) -> None:
+        with pytest.raises(ValidationError, match="bogus"):
+            build_majorant("bogus", 100, 0.5, 0)
+
+    def test_run_model_rejects_unknown_variant(self, instance) -> None:
+        f, nu = instance
+        with pytest.raises(ValidationError, match="bogus"):
+            run_model("bogus", f, nu, **OPTIONS)
+
+    def test_pipeline_variant_choices_come_from_registry(self) -> None:
+        assert _choices("pipeline", "variant") == VARIANTS
+
+
+# Each argv parses; adding the flag, which the subcommand never reads, is a usage error.
+UNREAD_FLAGS = [
+    (["majorant"], ["--tol", "0.1"]),
+    (["bohr", "--eps", "0.1", "--N", "100"], ["--seed", "1"]),
+    (["bohr", "--eps", "0.1", "--N", "100"], ["--grid-M", "8"]),
+    (["bohr", "--eps", "0.1", "--N", "100"], ["--tol", "0.1"]),
+    (["count", "--form", "1,1,-2", "--weights", "w.csv"], ["--grid-M", "8"]),
+    (["count", "--form", "1,1,-2", "--weights", "w.csv"], ["--tol", "0.1"]),
+    (["count", "--form", "1,1,-2", "--weights", "w.csv"], ["--seed", "1"]),
+    (["weierstrass"], ["--grid-M", "8"]),
+    (["weierstrass"], ["--tol", "0.1"]),
+    (["weierstrass"], ["--seed", "1"]),
+    (["minimax", "--a-gens", "1,0", "--b-gens", "0,1"], ["--grid-M", "8"]),
+    (["minimax", "--a-gens", "1,0", "--b-gens", "0,1"], ["--seed", "1"]),
+    (["project", "--point", "1,1", "--gens", "0,0"], ["--grid-M", "8"]),
+    (["project", "--point", "1,1", "--gens", "0,0"], ["--seed", "1"]),
+    (["pipeline"], ["--variant", "bogus"]),
+]
+
+
+class TestCliFlags:
+    @pytest.mark.parametrize("argv, extra", UNREAD_FLAGS,
+                             ids=[" ".join(a[:1] + e) for a, e in UNREAD_FLAGS])
+    def test_unread_flag_is_a_usage_error(self, argv, extra, capsys) -> None:
+        build_parser().parse_args(argv)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + extra)
+        assert exc.value.code == EXIT_VALIDATION
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["majorant", "--grid-M", "8", "--seed", "1", "--strict"],
+        ["densify", "--grid-M", "8", "--tol", "0.1", "--seed", "1", "--strict"],
+        ["minimax", "--a-gens", "1,0", "--b-gens", "0,1", "--tol", "0.1", "--strict"],
+        ["project", "--point", "1,1", "--gens", "0,0", "--tol", "0.1", "--strict"],
+        ["pipeline", "--grid-M", "8", "--tol", "0.1", "--seed", "1", "--strict"],
+        ["bohr", "--eps", "0.1", "--N", "100", "--strict"],
+        ["count", "--form", "1,1,-2", "--weights", "w.csv", "--strict"],
+        ["weierstrass", "--strict"],
+    ])
+    def test_read_flags_still_parse(self, argv) -> None:
+        build_parser().parse_args(argv)
