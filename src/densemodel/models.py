@@ -253,9 +253,10 @@ def naslund_model(f: DiscreteSignal, nu: Majorant, k: int, p: float,
                   strict: bool = False) -> DenseModelReport:
     """g = f * sigma at the decay-driven width eps = (2 C_p / log(1/theta))^(1/(p+2)).
 
-    theta is the measured L^inf level nu(n) <= theta N.  The report certifies
-    the L^k bound through the multiplicity-collapse chain with measured,
-    Bohr-restricted correlation constants.
+    theta is the measured L^inf level nu(n) <= theta N.  A width above 1/2 is
+    cut to 1/2 and flagged `width_capped`.  The report certifies the L^k bound
+    through the multiplicity-collapse chain with measured, Bohr-restricted
+    correlation constants.
     """
     if k < 2:
         raise ValidationError("naslund_model needs k >= 2")
@@ -263,11 +264,15 @@ def naslund_model(f: DiscreteSignal, nu: Majorant, k: int, p: float,
     if theta >= 1:
         raise ValidationError("naslund_model needs L^inf level theta < 1")
     log_inv = math.log(1.0 / theta)
-    eps = min(0.5, (2.0 * NASLUND_C_P / log_inv) ** (1.0 / (p + 2)))
+    width = (2.0 * NASLUND_C_P / log_inv) ** (1.0 / (p + 2))
+    eps = min(0.5, width)
     B, sigma, g, grid, err, checks, flags, claims = _convolution_model(
         f, nu, eps, eps, power=1, grid=grid, strict=strict)
     if k > 0.5 * math.sqrt(log_inv):
         flags.append("k_exceeds_hypothesis_window")
+    if width > 0.5:
+        # at eps = 1/2 every point of the window is in B, whatever the spectrum
+        flags.append("width_capped")
     binom = math.comb(k, 2)
     bohr_condition = B.size >= k * (2 ** binom) * theta * nu.N
     if not bohr_condition:
@@ -327,9 +332,12 @@ def hahn_banach_model(f: DiscreteSignal, nu: Majorant,
     """Best bounded approximant 0 <= g <= 1_[N] by direct LP minimization.
 
     Minimizes t subject to D-direction linearizations of |fhat - ghat| <= t at
-    grid frequencies, generating violated rows lazily.  The LP value t* lower
-    bounds the relaxed optimum; the returned g carries its own certified
-    Fourier error bracket.
+    grid frequencies, generating rows lazily from g = 0 and t = 0: each round
+    adds, at the 24 strongest frequencies with |fhat - ghat| cos(pi/D) > t + tol,
+    the direction nearest the phase of fhat - ghat and its two neighbours.  f and
+    g are real, so the row at (M - j, -psi) is the row at (j, psi) and only
+    0 <= j <= M/2 is scanned.  The LP value t* lower bounds the relaxed optimum;
+    the returned g is feasible, so its certified Fourier error bounds it above.
     """
     require_majorization(f, nu)
     if grid is None:
@@ -338,62 +346,50 @@ def hahn_banach_model(f: DiscreteSignal, nu: Majorant,
         raise ValidationError("need at least 3 modulus directions")
     N = nu.N
     M = grid.M
+    half = M // 2 + 1
     psis = 2.0 * np.pi * np.arange(directions) / directions
-    fhat = grid_fourier(f, grid)
+    fhat = grid_fourier(f, grid)[:half]
     cos_gap = math.cos(math.pi / directions)
 
-    rows, rhs = [], []
-    for psi in psis:
-        r, b = _hb_constraint_row(N, 0.0, float(psi), fhat[0])
-        rows.append(r)
-        rhs.append(b)
-    # seed with the strongest frequencies of f
-    seed_idx = np.argsort(-np.abs(fhat))[:48]
-    for j in seed_idx:
-        if j == 0:
-            continue
-        phase = math.atan2(fhat[j].imag, fhat[j].real)
-        d = int(round(phase / (2 * math.pi / directions))) % directions
-        r, b = _hb_constraint_row(N, j / M, float(psis[d]), fhat[j])
-        rows.append(r)
-        rhs.append(b)
-
+    rows = {}  # (j, d) -> (row, b); at j = 0 and j = M/2, d and -d give one row
     cost = np.zeros(N + 1)
     cost[N] = 1.0
     bounds = [(0.0, 1.0)] * N + [(0.0, None)]
     g_vals = np.zeros(N)
+    ghat = np.zeros_like(fhat)
     t_star = 0.0
-    converged = False
-    for _ in range(HB_MAX_ROUNDS):
-        res = linprog(cost, A_ub=np.array(rows), b_ub=np.array(rhs),
-                      bounds=bounds, method="highs")
-        if not res.success:
-            raise DenseModelError(f"LP solve failed: {res.message}")
-        g_vals = res.x[:N]
-        t_star = float(res.x[N])
-        ghat = grid_fourier(DiscreteSignal(1, g_vals), grid)
+    solves = 0
+    while True:
         mods = np.abs(fhat - ghat)
-        order = np.argsort(-mods)
-        violated = [int(j) for j in order[:24]
+        violated = [int(j) for j in np.argsort(-mods)[:24]
                     if mods[j] * cos_gap > t_star + tol]
-        if not violated:
-            converged = True
+        if not violated or solves == HB_MAX_ROUNDS:
             break
         for j in violated:
             diff = fhat[j] - ghat[j]
             phase = math.atan2(diff.imag, diff.real)
             d = int(round(phase / (2 * math.pi / directions))) % directions
             for dd in (d, (d + 1) % directions, (d - 1) % directions):
-                r, b = _hb_constraint_row(N, j / M, float(psis[dd]), fhat[j])
-                rows.append(r)
-                rhs.append(b)
+                if j == 0 or 2 * j == M:
+                    dd = min(dd, -dd % directions)
+                if (j, dd) not in rows:
+                    rows[j, dd] = _hb_constraint_row(N, j / M, float(psis[dd]), fhat[j])
+        A, b = zip(*rows.values())
+        res = linprog(cost, A_ub=np.array(A), b_ub=np.array(b),
+                      bounds=bounds, method="highs")
+        solves += 1
+        if not res.success:
+            raise DenseModelError(f"LP solve failed: {res.message}")
+        g_vals = res.x[:N]
+        t_star = float(res.x[N])
+        ghat = grid_fourier(DiscreteSignal(1, g_vals), grid)[:half]
+    converged = not violated
     g = DiscreteSignal(1, g_vals)
     err = fourier_sup_diff(f, g, grid)
     flags = [] if converged else ["row_generation_cap_reached"]
-    slack = err.lipschitz_slack
     checks = {
         "t_star": t_star,
-        "t_upper": t_star / cos_gap + slack,
+        "t_upper": err.certified_upper,
         "direction_secant": 1.0 / cos_gap,
         "rounds_constraints": len(rows),
         "converged": converged,

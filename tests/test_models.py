@@ -7,9 +7,11 @@ import math
 import numpy as np
 import pytest
 
+from densemodel import models
 from densemodel.errors import ValidationError
 from densemodel.majorants import make_random_sparse, make_uniform
 from densemodel.models import (
+    _hb_constraint_row,
     clamp_to_unit_window,
     green_model,
     hahn_banach_model,
@@ -147,6 +149,14 @@ class TestNaslund:
         with pytest.raises(ValidationError):
             naslund_model(f, nu, k=1, p=4.0)
 
+    @pytest.mark.parametrize("N, p, capped", [(100, 4.0, True), (5000, 0.0, False)])
+    def test_width_cap_flagged(self, N, p, capped) -> None:
+        # uniform nu has theta = 1/N: (2 / log N)^(1/(p+2)) is 0.87 and 0.48 here
+        nu = make_uniform(N)
+        rep = naslund_model(nu.signal, nu, k=2, p=p)
+        assert ("width_capped" in rep.flags) is capped
+        assert (rep.params["eps"] == 0.5) is capped
+
 
 class TestHahnBanach:
     def test_g_feasible_and_certified(self, sparse_instance) -> None:
@@ -179,6 +189,58 @@ class TestHahnBanach:
         f, nu = sparse_instance
         with pytest.raises(ValidationError):
             hahn_banach_model(f, nu, directions=2)
+
+    def test_rows_on_half_grid_without_mirror_repeats(self, sparse_instance,
+                                                      monkeypatch) -> None:
+        # f and g are real: the row at (M - j, -psi) is the row at (j, psi)
+        f, nu = sparse_instance
+        made = []
+
+        def record(N, alpha, psi, fhat_alpha):
+            made.append((alpha, psi))
+            return _hb_constraint_row(N, alpha, psi, fhat_alpha)
+
+        monkeypatch.setattr(models, "_hb_constraint_row", record)
+        rep = hahn_banach_model(f, nu)
+        M, D = rep.params["grid_M"], rep.params["directions"]
+        assert len(made) == rep.checks["rounds_constraints"]
+        assert all(alpha <= 0.5 for alpha, _ in made)
+        keys = []
+        for alpha, psi in made:
+            j, d = round(alpha * M), round(psi * D / (2 * math.pi)) % D
+            assert abs(j - alpha * M) < 1e-9
+            keys.append(min((j, d), ((M - j) % M, -d % D)))
+        assert len(set(keys)) == len(keys)
+        # converged: the returned g leaves no grid frequency violated
+        assert rep.checks["converged"]
+        mods = np.abs(grid_fourier(f, FrequencyGrid(M)) - grid_fourier(rep.g, FrequencyGrid(M)))
+        assert np.max(mods) * math.cos(math.pi / D) <= rep.checks["t_star"] + rep.params["tol"]
+
+    def test_zero_f_needs_no_solve(self, monkeypatch) -> None:
+        def no_solve(*args, **kwargs):
+            raise AssertionError("linprog called for f = 0")
+
+        monkeypatch.setattr(models, "linprog", no_solve)
+        nu = make_random_sparse(200, 2 / 3, seed=3)
+        rep = hahn_banach_model(DiscreteSignal(1, np.zeros(200)), nu)
+        assert not np.any(rep.g.values)
+        assert rep.checks["t_star"] == 0.0
+        assert rep.checks["converged"]
+        assert rep.checks["rounds_constraints"] == 0
+        assert rep.flags == []
+
+    def test_round_cap_keeps_t_upper_an_upper_bound(self, sparse_instance,
+                                                    monkeypatch) -> None:
+        f, nu = sparse_instance
+        monkeypatch.setattr(models, "HB_MAX_ROUNDS", 1)
+        rep = hahn_banach_model(f, nu)
+        assert "row_generation_cap_reached" in rep.flags
+        assert not rep.checks["converged"]
+        t_upper = rep.checks["t_upper"]
+        assert rep.checks["t_star"] <= t_upper
+        # g is feasible, so the certified sup of |fhat - ghat| holds off the grid too
+        for alpha in np.random.default_rng(6).random(64):
+            assert abs(fourier_eval(f, alpha) - fourier_eval(rep.g, alpha)) <= t_upper
 
 
 class TestClamp:
