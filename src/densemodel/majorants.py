@@ -2,8 +2,8 @@
 
 A majorant is a nonnegative weight on [1, N] with total mass comparable to N.
 `diagnose` measures Fourier decay, L^2/L^inf levels, correlation constants and
-a sampled lower estimate of the restriction constant; the dense-model drivers
-take these numbers as inputs instead of trusting asymptotic constants.
+the p = 4 restriction moment; the dense-model constructions take these
+numbers as inputs instead of trusting asymptotic constants.
 """
 
 from __future__ import annotations
@@ -62,8 +62,9 @@ class MajorantDiagnostics:
     """Measured hypothesis levels for one majorant.
 
     corr[l] and restriction_estimate[p] are maxima over tested configurations;
-    restriction_estimate is a LOWER estimate of the true sup over |phi| <= nu,
-    and corr[l] is exact only when corr_exhaustive[l] is True.
+    restriction_estimate is a LOWER estimate of the true sup over |phi| <= nu
+    (at p = 4 the tested phi = nu attains it), and corr[l] is exact only when
+    corr_exhaustive[l] is True.
     """
 
     theta_decay: float
@@ -270,11 +271,16 @@ def diagnose(nu: Majorant, grid: FrequencyGrid | None = None, k_max: int = 2,
     theta_decay = decay.certified_upper / N
     theta_L2 = lp_norm(nu.signal, 2) ** 2 / N ** 2
     theta_Linf = lp_norm(nu.signal, np.inf) / N
-    corr = {}
-    corr_exhaustive = {}
-    for l in range(2, k_max + 1):
+    # every lag at once: the same FFT screen a sample of lags would go through
+    corr = {2: max_lag_correlation(nu, np.arange(1, N)) / N}
+    corr_exhaustive = {2: True}
+    for l in range(3, k_max + 1):
         corr[l], corr_exhaustive[l] = max_correlation(nu, l, SHIFT_SAMPLES, seed)
-    restriction = {4.0: restriction_lower_estimate(nu, 4.0, grid, seed=seed)}
+    # At even p no sign mask can beat phi = nu: |phi| <= nu gives |phi * phi| <=
+    # nu * nu pointwise, on Z and on the folded grid Z/M alike (the Hardy-
+    # Littlewood majorant property), so int |phihat|^4 = ||phi * phi||_2^2 is
+    # largest at phi = nu.
+    restriction = {4.0: restriction_lower_estimate(nu, 4.0, grid, n_masks=0)}
     return MajorantDiagnostics(
         theta_decay=theta_decay,
         theta_L2=theta_L2,
@@ -283,5 +289,5 @@ def diagnose(nu: Majorant, grid: FrequencyGrid | None = None, k_max: int = 2,
         corr_exhaustive=corr_exhaustive,
         restriction_estimate=restriction,
         provenance={"grid_M": grid.M, "shift_samples": SHIFT_SAMPLES,
-                    "seed": seed, "restriction_masks": RESTRICTION_MASKS},
+                    "seed": seed, "restriction_masks": 0},
     )

@@ -160,6 +160,9 @@ def _convolution_model(f: DiscreteSignal, nu: Majorant, eps: float,
     claims = [(c, checks[f"{c}_max"], checks[f"{c}_bound"], checks[f"{c}_ok"])
               for c in ("off_spectrum", "representative")]
     flags = ["spectrum_grid_capped"] if spec.capped else []
+    if B.size == 1:
+        # B = {0}: g is f itself and the Fourier certificate is 0 for free
+        flags.append("bohr_trivial")
     return B, sigma, g, grid, err, checks, flags, claims
 
 

@@ -4,7 +4,8 @@ A signal is stored on an explicit integer window [lo, hi]; everything outside
 is implicitly zero.  Fourier evaluation uses the e(x) = exp(2*pi*i*x)
 convention, so fhat(alpha) = sum_n f(n) e(alpha n).  Sup-norm statements about
 fhat are certified on finite grids via a Lipschitz slack derived from
-|fhat'| <= 2*pi*H*||f||_1, H = max |n| over the support.
+|fhat'| <= 2*pi*H*||f||_1, H = max |n| over the support, and are never above
+the trivial bound |fhat| <= ||f||_1.
 """
 
 from __future__ import annotations
@@ -143,10 +144,15 @@ def default_grid(support_length: int) -> FrequencyGrid:
 
 @dataclass(frozen=True)
 class CertifiedSup:
-    """Two-sided certificate for a sup over the circle, from a grid evaluation."""
+    """Two-sided certificate for sup |dhat| over the circle, from a grid evaluation.
+
+    The upper end is the smaller of two rigorous bounds: the grid maximum plus
+    the Lipschitz slack, and the trivial |dhat(alpha)| <= ||d||_1.
+    """
 
     grid_max: float
     lipschitz_slack: float
+    l1_norm: float
 
     def __post_init__(self):
         if self.lipschitz_slack < 0:
@@ -158,12 +164,15 @@ class CertifiedSup:
 
     @property
     def certified_upper(self) -> float:
-        return self.grid_max + self.lipschitz_slack
+        # never below grid_max, should rounding put the FFT maximum above ||d||_1
+        return max(self.grid_max,
+                   min(self.grid_max + self.lipschitz_slack, self.l1_norm))
 
     def as_dict(self) -> dict:
         return {
             "grid_max": self.grid_max,
             "lipschitz_slack": self.lipschitz_slack,
+            "l1_norm": self.l1_norm,
             "certified_lower": self.certified_lower,
             "certified_upper": self.certified_upper,
         }
@@ -297,7 +306,8 @@ def fourier_sup_diff(f: DiscreteSignal, g: DiscreteSignal,
     """Certified bracket for ||fhat - ghat||_inf over the whole circle.
 
     grid_max is attained on the grid, hence a valid lower bound; the upper bound
-    adds the derivative slack 2*pi*H*||f-g||_1 * (1/(2M)).
+    adds the derivative slack 2*pi*H*||f-g||_1 * (1/(2M)), or is ||f-g||_1
+    itself when that is smaller.
     """
     if grid.M < 2:
         raise ValidationError("fourier_sup_diff needs a grid with M >= 2")
@@ -305,8 +315,9 @@ def fourier_sup_diff(f: DiscreteSignal, g: DiscreteSignal,
     mods = np.abs(grid_fourier(d, grid))
     grid_max = float(np.max(mods))
     H = max(abs(d.support_lo), abs(d.support_hi))
-    slack = 2.0 * np.pi * H * lp_norm(d, 1) * grid.lipschitz_radius
-    return CertifiedSup(grid_max=grid_max, lipschitz_slack=float(slack))
+    l1 = lp_norm(d, 1)
+    slack = 2.0 * np.pi * H * l1 * grid.lipschitz_radius
+    return CertifiedSup(grid_max=grid_max, lipschitz_slack=float(slack), l1_norm=l1)
 
 
 def write_csv(f: DiscreteSignal, path) -> None:

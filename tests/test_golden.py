@@ -6,12 +6,18 @@ files and says why; any other change must leave them as they are.  To write
 the files from the current sources:
 
     PYTHONPATH=src python tests/test_golden.py --write
+
+To list, before writing, each JSON value the current sources would move
+(`file: path: old -> new`; exits 1 if any moves):
+
+    PYTHONPATH=src python tests/test_golden.py --diff
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -67,11 +73,43 @@ def test_densify_output_matches_golden(name) -> None:
     assert _densify_bytes(name) == _expected(name)
 
 
+_ABSENT = "<absent>"
+
+
+def json_diff(old, new, path: str = "") -> list[str]:
+    """`path: old -> new` for every leaf where two parsed JSON values differ."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        return [line for key in {**old, **new}
+                for line in json_diff(old.get(key, _ABSENT), new.get(key, _ABSENT),
+                                      f"{path}.{key}" if path else key)]
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return [line for i, (a, b) in enumerate(zip(old, new))
+                for line in json_diff(a, b, f"{path}[{i}]")]
+    if old == new and type(old) is type(new):
+        return []
+    return [f"{path}: {json.dumps(old)} -> {json.dumps(new)}"]
+
+
+def _current_outputs() -> dict:
+    outputs = {case: _pipeline_bytes(case) for case in sorted(PIPELINE_CASES)}
+    outputs.update({case: _densify_bytes(case) for case in sorted(DENSIFY_CASES)})
+    return outputs
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python tests/test_golden.py --write")
-    GOLDEN.mkdir(exist_ok=True)
-    for case in sorted(PIPELINE_CASES):
-        (GOLDEN / f"{case}.json").write_text(_pipeline_bytes(case))
-    for case in sorted(DENSIFY_CASES):
-        (GOLDEN / f"{case}.json").write_text(_densify_bytes(case))
+    if sys.argv[1:] == ["--write"]:
+        GOLDEN.mkdir(exist_ok=True)
+        for case, text in _current_outputs().items():
+            (GOLDEN / f"{case}.json").write_text(text)
+    elif sys.argv[1:] == ["--diff"]:
+        moved = False
+        for case, text in _current_outputs().items():
+            lines = json_diff(json.loads(_expected(case)), json.loads(text))
+            if not lines and text != _expected(case):
+                lines = ["values equal, bytes differ (key order or layout)"]
+            for line in lines:
+                print(f"{case}.json: {line}")
+            moved = moved or bool(lines)
+        sys.exit(1 if moved else 0)
+    else:
+        sys.exit("usage: python tests/test_golden.py --write | --diff")

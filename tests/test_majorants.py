@@ -202,3 +202,46 @@ class TestMaxLagCorrelation:
         assert max_lag_correlation(nu, []) == 0.0
         assert max_lag_correlation(nu, np.zeros(0, dtype=np.int64)) == 0.0
         assert max_correlation(make_uniform(1), 2) == (0.0, True)
+
+
+class TestDiagnoseComputes:
+    @pytest.mark.parametrize("nu", [
+        make_random_sparse(300, 2 / 3, seed=2), make_squares(400),
+        make_weighted_primes(500), make_uniform(200)],
+        ids=["sparse", "squares", "primes", "uniform"])
+    def test_no_sign_mask_beats_nu_at_p4(self, nu) -> None:
+        # |phi| <= nu gives |phi * phi| <= nu * nu pointwise, so phi = nu has
+        # the largest int |phihat|^4 = ||phi * phi||_2^2
+        grid = FrequencyGrid(4096)
+        assert (restriction_lower_estimate(nu, 4.0, grid, n_masks=8)
+                == restriction_lower_estimate(nu, 4.0, grid, n_masks=0))
+
+    def test_pair_correlation_over_every_lag(self) -> None:
+        # N - 1 = 2999 lags: more than a sampled screen would draw
+        N = 3000
+        nu = make_random_sparse(N, 2 / 3, seed=0)
+        d = diagnose(nu)
+        assert d.corr[2] == max_lag_correlation(nu, np.arange(1, N)) / N
+        assert d.corr_exhaustive[2] is True
+        assert d.provenance["restriction_masks"] == 0
+
+    def test_one_restriction_transform_and_no_sampled_correlation(self,
+                                                                  monkeypatch) -> None:
+        import densemodel.majorants as majorants
+
+        nu = make_random_sparse(500, 2 / 3, seed=1)
+        expected = diagnose(nu).as_dict()
+        calls = []
+        original = majorants.grid_fourier
+
+        def counted(f, grid):
+            calls.append(grid.M)
+            return original(f, grid)
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("diagnose sampled shift tuples at k_max = 2")
+
+        monkeypatch.setattr(majorants, "grid_fourier", counted)
+        monkeypatch.setattr(majorants, "max_correlation", unexpected)
+        assert diagnose(nu).as_dict() == expected
+        assert len(calls) == 1

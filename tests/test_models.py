@@ -22,6 +22,7 @@ from densemodel.models import (
 from densemodel.pipeline import select_subset
 from densemodel.signals import (
     DiscreteSignal,
+    align,
     FrequencyGrid,
     fourier_eval,
     grid_fourier,
@@ -184,6 +185,20 @@ class TestHahnBanach:
         rep = hahn_banach_model(nu.signal, nu)
         assert rep.checks["t_star"] <= 1e-6
         assert rep.fourier_err.certified_upper <= 0.03 * 80
+
+    def test_certificate_capped_by_l1_distance(self) -> None:
+        # the N=300, seed 7 golden instance: on the M = 1024 grid the slack
+        # 2 pi H ||d||_1 / (2M) is about 0.9 ||d||_1 at H = 300, so grid_max plus
+        # slack exceeds the trivial bound |fhat - ghat| <= ||f - g||_1
+        nu = make_random_sparse(300, 2 / 3, seed=7)
+        f, _ = select_subset(nu, 0.5, "structured", 7)
+        rep = hahn_banach_model(f, nu)
+        err = rep.fourier_err
+        _, fv, gv = align(f, rep.g)
+        assert err.l1_norm == pytest.approx(float(np.sum(np.abs(fv - gv))), rel=1e-12)
+        assert err.certified_upper == err.l1_norm
+        assert err.certified_upper < err.grid_max + err.lipschitz_slack
+        assert rep.checks["t_upper"] == err.certified_upper
 
     def test_direction_count_domain(self, sparse_instance) -> None:
         f, nu = sparse_instance

@@ -229,6 +229,21 @@ class TestCountReuse:
         assert d["comparison"]["count_g"] == d["counts"]["g"]["total"]
 
 
+class TestDegenerateFlags:
+    def test_trivial_bohr_set_flagged(self) -> None:
+        # the default config's Bohr set is {0}, so g = f and the certificate is 0
+        d = run_pipeline(PipelineConfig()).data
+        assert d["model"]["checks"]["bohr_size"] == 1
+        assert "bohr_trivial" in d["model"]["flags"]
+        assert "bohr_trivial" in d["flags"]
+
+    def test_nontrivial_bohr_set_not_flagged(self) -> None:
+        d = run_pipeline(PipelineConfig(N=500, variant="hdr", eps=0.2, eta=0.2,
+                                        seed=7)).data
+        assert d["model"]["checks"]["bohr_size"] == 9
+        assert "bohr_trivial" not in d["flags"]
+
+
 class TestCliPipelineOptions:
     def test_config_seed_kept_without_seed_flag(self, tmp_path, capsys) -> None:
         path = tmp_path / "run.cfg"

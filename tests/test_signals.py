@@ -158,6 +158,23 @@ class TestCertifiedSup:
         assert fine.lipschitz_slack < coarse.lipschitz_slack
         assert fine.certified_upper <= coarse.certified_upper + 1e-9
 
+    def test_upper_capped_by_l1_norm(self) -> None:
+        # at M = 8 the Lipschitz slack 2 pi 50 50 / 16 is far above ||f||_1 = 50
+        f = DiscreteSignal.interval(50)
+        est = fourier_sup_diff(f, DiscreteSignal.zero(), FrequencyGrid(8))
+        assert est.l1_norm == 50.0
+        assert est.grid_max + est.lipschitz_slack > 50.0
+        assert est.certified_upper == 50.0
+        assert est.as_dict()["l1_norm"] == 50.0
+
+    def test_capped_upper_never_below_grid_max(self) -> None:
+        # for f >= 0, |fhat(0)| = ||f||_1, and the FFT's sum can round a few
+        # ulps above the l1 sum (1000 random values on M = 8 do for some seeds),
+        # so the cap alone would invert the bracket
+        est = CertifiedSup(grid_max=500.0, lipschitz_slack=900.0,
+                           l1_norm=500.0 - 1e-13)
+        assert est.certified_upper == est.grid_max == est.certified_lower
+
     def test_default_grid_floor(self) -> None:
         assert default_grid(10).M >= 4096
         assert default_grid(10 ** 4).M >= 8 * 10 ** 4
