@@ -15,7 +15,13 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize._highspy._core import (
+    HighsLp,
+    HighsModelStatus,
+    HighsStatus,
+    _Highs,
+    kHighsInf,
+)
 
 from .bohr import BohrSet, bohr_enumerate, bohr_measure, spectrum
 from .errors import DenseModelError, ValidationError
@@ -328,6 +334,42 @@ def _hb_constraint_row(N: int, alpha: float, psi: float,
     return row, b
 
 
+def linprog(highs: _Highs, A_ub: np.ndarray, b_ub: np.ndarray) -> np.ndarray:
+    """Add the rows A_ub x <= b_ub to the HiGHS model and re-solve it; returns x.
+
+    Rows added to a solved LP leave its basis dual feasible, so the dual simplex
+    restarts from the last basis and only repairs the new rows.  This is the one
+    call per LP solve: benchmarks/tracing.py wraps `models.linprog` and counts
+    the rows of `A_ub`.
+    """
+    k, n = A_ub.shape
+    added = highs.addRows(k, np.full(k, -kHighsInf), b_ub, k * n,
+                          np.arange(0, k * n, n, dtype=np.int32),
+                          np.tile(np.arange(n, dtype=np.int32), k), A_ub.ravel())
+    if added == HighsStatus.kError:
+        raise DenseModelError("LP rows rejected by HiGHS")
+    highs.run()
+    status = highs.getModelStatus()
+    if status != HighsModelStatus.kOptimal:
+        raise DenseModelError(f"LP solve failed: {highs.modelStatusToString(status)}")
+    return np.array(highs.getSolution().col_value)
+
+
+def _hb_highs(N: int) -> _Highs:
+    """The row-free LP: minimize t over 0 <= g <= 1_[N], t >= 0."""
+    lp = HighsLp()
+    lp.num_col_ = N + 1
+    lp.num_row_ = 0
+    lp.col_cost_ = np.r_[np.zeros(N), 1.0]
+    lp.col_lower_ = np.zeros(N + 1)
+    lp.col_upper_ = np.r_[np.ones(N), kHighsInf]
+    lp.a_matrix_.start_ = np.zeros(N + 2, dtype=np.int32)
+    highs = _Highs()
+    highs.setOptionValue("output_flag", False)
+    highs.passModel(lp)
+    return highs
+
+
 def hahn_banach_model(f: DiscreteSignal, nu: Majorant,
                       grid: FrequencyGrid | None = None,
                       directions: int = HB_DIRECTIONS,
@@ -339,8 +381,10 @@ def hahn_banach_model(f: DiscreteSignal, nu: Majorant,
     adds, at the 24 strongest frequencies with |fhat - ghat| cos(pi/D) > t + tol,
     the direction nearest the phase of fhat - ghat and its two neighbours.  f and
     g are real, so the row at (M - j, -psi) is the row at (j, psi) and only
-    0 <= j <= M/2 is scanned.  The LP value t* lower bounds the relaxed optimum;
-    the returned g is feasible, so its certified Fourier error bounds it above.
+    0 <= j <= M/2 is scanned.  One HiGHS model gains each new row once and
+    re-solves from its last basis.  The LP value t* lower bounds the relaxed
+    optimum; the returned g is feasible, so its certified Fourier error bounds
+    it above.
     """
     require_majorization(f, nu)
     if grid is None:
@@ -354,10 +398,8 @@ def hahn_banach_model(f: DiscreteSignal, nu: Majorant,
     fhat = grid_fourier(f, grid)[:half]
     cos_gap = math.cos(math.pi / directions)
 
-    rows = {}  # (j, d) -> (row, b); at j = 0 and j = M/2, d and -d give one row
-    cost = np.zeros(N + 1)
-    cost[N] = 1.0
-    bounds = [(0.0, 1.0)] * N + [(0.0, None)]
+    highs = _hb_highs(N)
+    rows = set()  # (j, d) already in the LP; at j = 0 and j = M/2, d and -d give one row
     g_vals = np.zeros(N)
     ghat = np.zeros_like(fhat)
     t_star = 0.0
@@ -368,6 +410,7 @@ def hahn_banach_model(f: DiscreteSignal, nu: Majorant,
                     if mods[j] * cos_gap > t_star + tol]
         if not violated or solves == HB_MAX_ROUNDS:
             break
+        new = []
         for j in violated:
             diff = fhat[j] - ghat[j]
             phase = math.atan2(diff.imag, diff.real)
@@ -376,15 +419,15 @@ def hahn_banach_model(f: DiscreteSignal, nu: Majorant,
                 if j == 0 or 2 * j == M:
                     dd = min(dd, -dd % directions)
                 if (j, dd) not in rows:
-                    rows[j, dd] = _hb_constraint_row(N, j / M, float(psis[dd]), fhat[j])
-        A, b = zip(*rows.values())
-        res = linprog(cost, A_ub=np.array(A), b_ub=np.array(b),
-                      bounds=bounds, method="highs")
+                    rows.add((j, dd))
+                    new.append(_hb_constraint_row(N, j / M, float(psis[dd]), fhat[j]))
+        if not new:
+            break  # every row at the violated j is in: a re-solve returns the same g
+        A, b = zip(*new)
+        x = linprog(highs, A_ub=np.array(A), b_ub=np.array(b))
         solves += 1
-        if not res.success:
-            raise DenseModelError(f"LP solve failed: {res.message}")
-        g_vals = res.x[:N]
-        t_star = float(res.x[N])
+        g_vals = x[:N]
+        t_star = float(x[N])
         ghat = grid_fourier(DiscreteSignal(1, g_vals), grid)[:half]
     converged = not violated
     g = DiscreteSignal(1, g_vals)

@@ -245,3 +245,18 @@ class TestDiagnoseComputes:
         monkeypatch.setattr(majorants, "max_correlation", unexpected)
         assert diagnose(nu).as_dict() == expected
         assert len(calls) == 1
+
+
+class TestRestrictionGrid:
+    def test_short_grid_does_not_fold(self) -> None:
+        # nu * nu spans 2 span - 1 points; a grid of M = 1024 < 2 span - 1 would
+        # fold it and add the overlaps to the p = 4 moment
+        N = 2000
+        nu = make_random_sparse(N, 2 / 3, seed=0)
+        short = restriction_lower_estimate(nu, 4.0, FrequencyGrid(1024), n_masks=0)
+        full = restriction_lower_estimate(nu, 4.0, FrequencyGrid(3999), n_masks=0)
+        assert short == pytest.approx(full, rel=1e-12)
+        # the exact integral: int |nuhat|^4 = ||nu * nu||_2^2
+        auto = np.convolve(nu.signal.values, nu.signal.values)
+        exact = float(np.sum(auto ** 2)) * N / nu.l1_mass ** 4
+        assert short == pytest.approx(exact, rel=1e-9)

@@ -399,3 +399,84 @@ class TestModelClaims:
         assert [(c["name"], c["kind"], c["value"], c["bound"], c["ok"]) for c in stated] == \
             [(n, "certified-bound", v, b, bool(ok)) for n, v, b, ok in model.claims]
         assert claims[len(model.claims) + 1]["name"] == "transfer"
+
+
+class TestHahnBanachWarmStart:
+    @staticmethod
+    def _instance(N, seed):
+        nu = make_random_sparse(N, 2 / 3, seed=seed)
+        f, _ = select_subset(nu, 0.5, "structured", seed)
+        return f, nu
+
+    @pytest.mark.parametrize("N, seed", [(300, 7), (1000, 0)])
+    def test_cold_solve_of_final_rows_agrees(self, N, seed, monkeypatch) -> None:
+        from scipy.optimize import linprog
+
+        f, nu = self._instance(N, seed)
+        made = []
+
+        def record(*args):
+            made.append(_hb_constraint_row(*args))
+            return made[-1]
+
+        monkeypatch.setattr(models, "_hb_constraint_row", record)
+        rep = hahn_banach_model(f, nu)
+        assert rep.checks["converged"]
+        assert rep.checks["rounds_constraints"] == len(made)
+        A, b = zip(*made)
+        cost = np.zeros(N + 1)
+        cost[N] = 1.0
+        res = linprog(cost, A_ub=np.array(A), b_ub=np.array(b),
+                      bounds=[(0.0, 1.0)] * N + [(0.0, None)], method="highs")
+        assert res.success
+        assert res.x[N] == pytest.approx(rep.checks["t_star"], rel=1e-9)
+
+    @pytest.mark.parametrize("N, seed", [(300, 7), (600, 11)])
+    def test_each_row_reaches_the_solver_once(self, N, seed, monkeypatch) -> None:
+        f, nu = self._instance(N, seed)
+        made, passed, rounds = [], [], []
+        solve = models.linprog
+        transform = models.grid_fourier
+
+        def record_row(*args):
+            made.append(_hb_constraint_row(*args))
+            return made[-1]
+
+        def record_solve(*args, **kwargs):
+            passed.append((kwargs["A_ub"], kwargs["b_ub"]))
+            return solve(*args, **kwargs)
+
+        def record_transform(sig, grid):
+            rounds.append(grid.M)
+            return transform(sig, grid)
+
+        monkeypatch.setattr(models, "_hb_constraint_row", record_row)
+        monkeypatch.setattr(models, "linprog", record_solve)
+        monkeypatch.setattr(models, "grid_fourier", record_transform)
+        rep = hahn_banach_model(f, nu)
+        assert sum(A.shape[0] for A, _ in passed) == rep.checks["rounds_constraints"]
+        # in the order they were made, each row once
+        assert np.array_equal(np.vstack([A for A, _ in passed]),
+                              np.array([row for row, _ in made]))
+        assert np.array_equal(np.concatenate([b for _, b in passed]),
+                              np.array([b for _, b in made]))
+        # one solve per LP round: fhat once, then ghat after every solve
+        assert len(passed) == len(rounds) - 1 >= 2
+
+    def test_round_without_new_rows_ends_the_loop(self, monkeypatch) -> None:
+        # at tol = 0 rounding leaves a violated j whose rows are all in the LP;
+        # re-solving the same LP would return the same g up to the round cap
+        f, nu = self._instance(300, 7)
+        sizes = []
+        solve = models.linprog
+
+        def record_solve(*args, **kwargs):
+            sizes.append(kwargs["A_ub"].shape[0])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(models, "linprog", record_solve)
+        rep = hahn_banach_model(f, nu, tol=0.0)
+        assert len(sizes) < models.HB_MAX_ROUNDS
+        assert min(sizes) >= 1
+        assert not rep.checks["converged"]
+        assert "row_generation_cap_reached" in rep.flags
