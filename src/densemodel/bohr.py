@@ -16,7 +16,13 @@ import numpy as np
 
 from .errors import ResourceError, ValidationError
 from .majorants import Majorant
-from .signals import DiscreteSignal, FrequencyGrid, grid_fourier, grid_fourier_rounding
+from .signals import (
+    MAX_CONV_LENGTH,
+    DiscreteSignal,
+    FrequencyGrid,
+    grid_fourier,
+    grid_fourier_rounding,
+)
 
 M_CAP_DEFAULT = 1 << 22
 MEMBERSHIP_TOL = 1e-12
@@ -122,7 +128,8 @@ def bohr_enumerate(freqs, eps: float, N: int) -> BohrSet:
     """Direct scan of [-floor(eps N), floor(eps N)] against every frequency.
 
     The recorded pigeonhole floor eps*N/2 * ceil(2/eps)^(-r) is guaranteed for
-    the half-width set B(S, eps/2), hence for this superset as well.
+    the half-width set B(S, eps/2), hence for this superset as well.  A scan
+    window longer than the convolution cap is refused before it is allocated.
     """
     if not 0 < eps <= 0.5:
         raise ValidationError("bohr_enumerate needs 0 < eps <= 1/2")
@@ -130,6 +137,9 @@ def bohr_enumerate(freqs, eps: float, N: int) -> BohrSet:
         raise ValidationError("bohr_enumerate needs N >= 1")
     freqs = np.atleast_1d(np.asarray(freqs, dtype=np.float64))
     nmax = int(math.floor(eps * N))
+    if 2 * nmax + 1 > MAX_CONV_LENGTH:
+        raise ResourceError(
+            f"Bohr scan window [-{nmax}, {nmax}] exceeds cap {MAX_CONV_LENGTH}")
     cands = np.arange(-nmax, nmax + 1)
     bound = eps + MEMBERSHIP_TOL
     for start in range(0, len(freqs), FREQ_CHUNK):

@@ -91,14 +91,21 @@ def _dilated_cyclic(w: DiscreteSignal, c: int, W: int) -> np.ndarray:
 
 
 def count_weighted(form: LinearForm, weights) -> CountReport:
-    """Exact weighted solution count via dilation plus one cyclic convolution."""
+    """Exact weighted solution count via dilation plus one cyclic convolution.
+
+    A weight passed at two positions with the same coefficient, as in
+    (1, 1, -2) with [f] * 3, is transformed once.
+    """
     weights = list(weights)
     if len(weights) != form.s:
         raise ValidationError("need one weight per coefficient")
     W = _wrap_modulus(form, weights)
+    spectra = {}
     spec_prod = None
     for c, w in zip(form.coeffs, weights):
-        F = np.fft.rfft(_dilated_cyclic(w, c, W))
+        if (id(w), c) not in spectra:
+            spectra[id(w), c] = np.fft.rfft(_dilated_cyclic(w, c, W))
+        F = spectra[id(w), c]
         spec_prod = F if spec_prod is None else spec_prod * F
     total = float(np.fft.irfft(spec_prod, W)[0])
     return CountReport(total=total, diagonal=_diagonal(weights),

@@ -9,6 +9,7 @@ numbers as inputs instead of trusting asymptotic constants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,7 +32,12 @@ RESTRICTION_MASKS = 8  # random sign masks beside phi = nu
 
 @dataclass(frozen=True)
 class Majorant:
-    """Nonnegative weight nu supported in [1, N] with mass within [N/2, 2N]."""
+    """Nonnegative weight nu supported in [1, N] with mass within [N/2, 2N].
+
+    The levels the constructions read are measured on first read and kept, as
+    the signal is read-only: the mass, theta_Linf, theta_L2, the window
+    autocorrelation and the all-lag corr2.
+    """
 
     signal: DiscreteSignal
     N: int
@@ -52,9 +58,35 @@ class Majorant:
                 f"majorant mass {mass} outside [{MASS_WINDOW[0] * self.N}, "
                 f"{MASS_WINDOW[1] * self.N}]")
 
-    @property
+    @cached_property
     def l1_mass(self) -> float:
         return lp_norm(self.signal, 1)
+
+    @cached_property
+    def theta_Linf(self) -> float:
+        """The L^inf level: nu(n) <= theta_Linf N."""
+        return lp_norm(self.signal, np.inf) / self.N
+
+    @cached_property
+    def theta_L2(self) -> float:
+        """The L^2 level: ||nu||_2^2 = theta_L2 N^2."""
+        return lp_norm(self.signal, 2) ** 2 / self.N ** 2
+
+    @cached_property
+    def autocorrelation(self) -> np.ndarray:
+        """Entry N - 1 + m is sum_n nu(n) nu(n + m), |m| < N: one FFT convolution."""
+        v = _window_values(self)
+        return convolve(DiscreteSignal(0, v), DiscreteSignal(0, v[::-1])).values
+
+    @cached_property
+    def corr2(self) -> float:
+        """max(0, max over every lag m != 0 of sum_n nu(n) nu(n + m)) / N."""
+        return max_lag_correlation(self, np.arange(1, self.N)) / self.N
+
+    def theta_decay(self, grid: FrequencyGrid) -> float:
+        """Certified sup over the circle of |nuhat - 1_[N]hat| / N, from `grid`."""
+        decay = fourier_sup_diff(self.signal, DiscreteSignal.interval(self.N), grid)
+        return decay.certified_upper / self.N
 
 
 @dataclass(frozen=True)
@@ -178,7 +210,7 @@ def _corr_value(v: np.ndarray, shifts: tuple) -> float:
 def max_lag_correlation(nu: Majorant, lags) -> float:
     """max(0, max over m in lags of sum_n nu(n) nu(n+m)), lags in 1..N-1.
 
-    Every lag is screened at once by one FFT autocorrelation a of nu's window
+    Every lag is screened at once by nu's FFT autocorrelation a of its window
     v.  Only lags whose screened value lies within 2 rho of the screened
     maximum are evaluated exactly, by the direct `_corr_value` sum, where
     rho = fft_rounding_bound(2N - 1, ||v||_2^2) bounds |a(m) - c(m)| for the
@@ -192,9 +224,7 @@ def max_lag_correlation(nu: Majorant, lags) -> float:
         return 0.0
     v = _window_values(nu)
     N = len(v)
-    # entry N - 1 + m of v convolved with its reversal is sum_n v(n) v(n + m)
-    auto = convolve(DiscreteSignal(0, v), DiscreteSignal(0, v[::-1])).values
-    screened = auto[N - 1 + lags]
+    screened = nu.autocorrelation[N - 1 + lags]
     rho = fft_rounding_bound(2 * N - 1, float(np.dot(v, v)))
     best = 0.0
     for m in lags[screened >= np.max(screened) - 2.0 * rho]:
@@ -271,13 +301,7 @@ def diagnose(nu: Majorant, grid: FrequencyGrid | None = None, k_max: int = 2,
         raise ValidationError("diagnose needs k_max >= 2")
     if grid is None:
         grid = default_grid(nu.N)
-    N = nu.N
-    decay = fourier_sup_diff(nu.signal, DiscreteSignal.interval(N), grid)
-    theta_decay = decay.certified_upper / N
-    theta_L2 = lp_norm(nu.signal, 2) ** 2 / N ** 2
-    theta_Linf = lp_norm(nu.signal, np.inf) / N
-    # every lag at once: the same FFT screen a sample of lags would go through
-    corr = {2: max_lag_correlation(nu, np.arange(1, N)) / N}
+    corr = {2: nu.corr2}  # over every lag
     corr_exhaustive = {2: True}
     for l in range(3, k_max + 1):
         corr[l], corr_exhaustive[l] = max_correlation(nu, l, SHIFT_SAMPLES, seed)
@@ -287,9 +311,9 @@ def diagnose(nu: Majorant, grid: FrequencyGrid | None = None, k_max: int = 2,
     # largest at phi = nu.
     restriction = {4.0: restriction_lower_estimate(nu, 4.0, grid, n_masks=0)}
     return MajorantDiagnostics(
-        theta_decay=theta_decay,
-        theta_L2=theta_L2,
-        theta_Linf=theta_Linf,
+        theta_decay=nu.theta_decay(grid),
+        theta_L2=nu.theta_L2,
+        theta_Linf=nu.theta_Linf,
         corr=corr,
         corr_exhaustive=corr_exhaustive,
         restriction_estimate=restriction,

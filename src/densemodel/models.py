@@ -31,12 +31,13 @@ from .signals import (
     DiscreteSignal,
     FrequencyGrid,
     align,
+    certify_sup,
     convolve,
     default_grid,
     fourier_at_grid_points,
-    fourier_sup_diff,
     grid_fourier,
     lp_norm,
+    subtract,
 )
 
 HB_GRID_M = 1024
@@ -139,9 +140,10 @@ def _convolution_model(f: DiscreteSignal, nu: Majorant, eps: float,
         g = convolve(g, sigma)
     if grid is None:
         grid = default_grid(g.support_hi - g.support_lo + 1)
-    err = fourier_sup_diff(f, g, grid)
     fhat = grid_fourier(f, grid)
     sighat = grid_fourier(sigma, grid)
+    ghat = grid_fourier(g, grid)
+    err = certify_sup(subtract(f, g), fhat - ghat, grid)
     diff = np.abs(fhat) * np.abs(1.0 - sighat ** power)
     off = np.abs(fhat) < spec.threshold
     off_max = float(np.max(diff[off])) if off.any() else 0.0
@@ -149,7 +151,6 @@ def _convolution_model(f: DiscreteSignal, nu: Majorant, eps: float,
                                       spec.interval_indices)
     rep_max = float(np.max(np.abs(1.0 - rep_vals))) if spec.r else 0.0
     # convolution-theorem consistency: ghat = fhat * sigmahat^power on the grid
-    ghat = grid_fourier(g, grid)
     product = fhat * sighat ** power
     scale = max(1.0, float(np.max(np.abs(ghat))))
     checks = {
@@ -179,8 +180,7 @@ def green_model(f: DiscreteSignal, nu: Majorant, eps: float, eta: float,
     B, _, g, grid, err, checks, flags, claims = _convolution_model(
         f, nu, eps, eta, power=2, grid=grid, strict=strict)
     # instance form of the L^inf chain: g <= 1 + theta_decay * N / |B|
-    decay = fourier_sup_diff(nu.signal, DiscreteSignal.interval(nu.N), grid)
-    theta_decay = decay.certified_upper / nu.N
+    theta_decay = nu.theta_decay(grid)
     linf_bound = 1.0 + theta_decay * nu.N / B.size
     g_linf = lp_norm(g, np.inf)
     checks["theta_decay"] = theta_decay
@@ -197,9 +197,8 @@ def hdr_model(f: DiscreteSignal, nu: Majorant, eps: float,
     """g = f * sigma with eta = eps: the singly smoothed, L^2-bounded approximant."""
     B, _, g, grid, err, checks, flags, claims = _convolution_model(
         f, nu, eps, eps, power=1, grid=grid, strict=strict)
-    theta_L2 = lp_norm(nu.signal, 2) ** 2 / nu.N ** 2
-    # exact: every shift m != 0 is tested
-    corr2 = max_lag_correlation(nu, np.arange(1, nu.N)) / nu.N
+    theta_L2 = nu.theta_L2
+    corr2 = nu.corr2  # exact: every shift m != 0 is tested
     l2 = _power_sum(g, 2)
     # proof split: diagonal pairs give theta_L2 N^2 / |B|, off-diagonal corr2 N
     l2_bound = theta_L2 * nu.N ** 2 / B.size + 2.0 * corr2 * nu.N
@@ -241,7 +240,7 @@ def _bohr_restricted_correlations(nu: Majorant, B: BohrSet, k: int) -> dict:
     N = nu.N
     pos = _positive_differences(B)
     pos = pos[pos < N]
-    theta = lp_norm(nu.signal, np.inf) / N
+    theta = nu.theta_Linf
     out = {1: {"value": nu.l1_mass / N, "method": "exact"}}
     corr2 = max_lag_correlation(nu, pos) / N
     out[2] = {"value": corr2, "method": "exact"}
@@ -269,7 +268,7 @@ def naslund_model(f: DiscreteSignal, nu: Majorant, k: int, p: float,
     """
     if k < 2:
         raise ValidationError("naslund_model needs k >= 2")
-    theta = lp_norm(nu.signal, np.inf) / nu.N
+    theta = nu.theta_Linf
     if theta >= 1:
         raise ValidationError("naslund_model needs L^inf level theta < 1")
     log_inv = math.log(1.0 / theta)
@@ -283,21 +282,26 @@ def naslund_model(f: DiscreteSignal, nu: Majorant, k: int, p: float,
         # at eps = 1/2 every point of the window is in B, whatever the spectrum
         flags.append("width_capped")
     binom = math.comb(k, 2)
-    bohr_condition = B.size >= k * (2 ** binom) * theta * nu.N
+    with np.errstate(over="ignore"):
+        collapse = float(np.ldexp(1.0, binom))  # 2^binom, inf past the float range
+    bohr_condition = B.size >= k * collapse * theta * nu.N
     if not bohr_condition:
         flags.append("unverified boundedness")
     lk = _power_sum(g, k)
     corr = _bohr_restricted_correlations(nu, B, k)
     # sum over numbers of distinct shifts: 2^binom |B|^l (theta N)^(k-l) corr_l N,
     # all divided by |B|^k
-    chain_bound = (2 ** binom) * nu.N * sum(
+    chain_bound = collapse * nu.N * sum(
         B.size ** (l - k) * (theta * nu.N) ** (k - l) * corr[l]["value"]
         for l in range(1, k + 1))
+    if not math.isfinite(chain_bound):
+        raise ValidationError(
+            f"naslund_model's L^k collapse bound is not a finite float: k = {k} is too large")
     nu_smoothed = convolve(nu.signal, sigma)
     majorant_chain = _power_sum(nu_smoothed, k)
     checks.update({
         "theta_Linf": theta,
-        "bohr_condition_rhs": k * (2 ** binom) * theta * nu.N,
+        "bohr_condition_rhs": k * collapse * theta * nu.N,
         "bohr_condition_ok": bool(bohr_condition),
         "lk_sum": lk,
         "lk_majorant_chain": majorant_chain,
@@ -431,7 +435,7 @@ def hahn_banach_model(f: DiscreteSignal, nu: Majorant,
         ghat = grid_fourier(DiscreteSignal(1, g_vals), grid)[:half]
     converged = not violated
     g = DiscreteSignal(1, g_vals)
-    err = fourier_sup_diff(f, g, grid)
+    err = certify_sup(subtract(f, g), fhat - ghat, grid)  # ghat is g's, at j <= M/2
     flags = [] if converged else ["row_generation_cap_reached"]
     checks = {
         "t_star": t_star,

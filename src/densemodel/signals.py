@@ -301,23 +301,29 @@ def convolve(f: DiscreteSignal, g: DiscreteSignal) -> DiscreteSignal:
     return DiscreteSignal(f.support_lo + g.support_lo, vals)
 
 
-def fourier_sup_diff(f: DiscreteSignal, g: DiscreteSignal,
-                     grid: FrequencyGrid) -> CertifiedSup:
-    """Certified bracket for ||fhat - ghat||_inf over the whole circle.
+def certify_sup(d: DiscreteSignal, dhat: np.ndarray,
+                grid: FrequencyGrid) -> CertifiedSup:
+    """Certified bracket for ||dhat||_inf over the whole circle, from dhat on the grid.
 
-    grid_max is attained on the grid, hence a valid lower bound; the upper bound
-    adds the derivative slack 2*pi*H*||f-g||_1 * (1/(2M)), or is ||f-g||_1
-    itself when that is smaller.
+    dhat holds d's transform at the grid points j/M, or at j <= M/2 only (d is
+    real, so the other half has the same moduli).  grid_max is attained on the
+    grid, hence a valid lower bound; the upper bound adds the derivative slack
+    2*pi*H*||d||_1 * (1/(2M)), or is ||d||_1 itself when that is smaller.
     """
     if grid.M < 2:
-        raise ValidationError("fourier_sup_diff needs a grid with M >= 2")
-    d = subtract(f, g)
-    mods = np.abs(grid_fourier(d, grid))
-    grid_max = float(np.max(mods))
+        raise ValidationError("a Fourier sup certificate needs a grid with M >= 2")
+    grid_max = float(np.max(np.abs(dhat)))
     H = max(abs(d.support_lo), abs(d.support_hi))
     l1 = lp_norm(d, 1)
     slack = 2.0 * np.pi * H * l1 * grid.lipschitz_radius
     return CertifiedSup(grid_max=grid_max, lipschitz_slack=float(slack), l1_norm=l1)
+
+
+def fourier_sup_diff(f: DiscreteSignal, g: DiscreteSignal,
+                     grid: FrequencyGrid) -> CertifiedSup:
+    """Certified bracket for ||fhat - ghat||_inf: `certify_sup` of d = f - g."""
+    d = subtract(f, g)
+    return certify_sup(d, grid_fourier(d, grid), grid)
 
 
 def write_csv(f: DiscreteSignal, path) -> None:

@@ -105,6 +105,15 @@ class TestBohrEnumerate:
         with pytest.raises(ValidationError):
             bohr_enumerate(np.zeros(0), 1.5, 100)
 
+    def test_scan_window_past_cap_refused(self, monkeypatch) -> None:
+        import densemodel.bohr as bohr_mod
+
+        monkeypatch.setattr(bohr_mod, "MAX_CONV_LENGTH", 1001)
+        # [-500, 500] is 1001 points, at the cap; [-1000, 1000] is past it
+        assert bohr_enumerate(np.zeros(0), 0.25, 2000).size == 1001
+        with pytest.raises(ResourceError, match="exceeds cap 1001"):
+            bohr_enumerate(np.zeros(0), 0.5, 2000)
+
     def test_many_frequencies_prunes(self) -> None:
         rng = np.random.default_rng(0)
         freqs = rng.random(2000)

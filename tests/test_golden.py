@@ -8,7 +8,8 @@ the files from the current sources:
     PYTHONPATH=src python tests/test_golden.py --write
 
 To list, before writing, each JSON value the current sources would move
-(`file: path: old -> new`; exits 1 if any moves):
+(`file: path: old -> new`, with the relative change of each moved float and
+the largest of them; exits 1 if any moves):
 
     PYTHONPATH=src python tests/test_golden.py --diff
 """
@@ -76,18 +77,25 @@ def test_densify_output_matches_golden(name) -> None:
 _ABSENT = "<absent>"
 
 
-def json_diff(old, new, path: str = "") -> list[str]:
-    """`path: old -> new` for every leaf where two parsed JSON values differ."""
+def json_diff(old, new, path: str = "") -> list[tuple]:
+    """(path, old, new) for every leaf where two parsed JSON values differ."""
     if isinstance(old, dict) and isinstance(new, dict):
-        return [line for key in {**old, **new}
-                for line in json_diff(old.get(key, _ABSENT), new.get(key, _ABSENT),
+        return [move for key in {**old, **new}
+                for move in json_diff(old.get(key, _ABSENT), new.get(key, _ABSENT),
                                       f"{path}.{key}" if path else key)]
     if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
-        return [line for i, (a, b) in enumerate(zip(old, new))
-                for line in json_diff(a, b, f"{path}[{i}]")]
+        return [move for i, (a, b) in enumerate(zip(old, new))
+                for move in json_diff(a, b, f"{path}[{i}]")]
     if old == new and type(old) is type(new):
         return []
-    return [f"{path}: {json.dumps(old)} -> {json.dumps(new)}"]
+    return [(path, old, new)]
+
+
+def relative_change(old, new) -> float | None:
+    """|new - old| / |old| when both are floats, else None (inf when old is 0)."""
+    if not (isinstance(old, float) and isinstance(new, float)):
+        return None
+    return abs(new - old) / abs(old) if old else float("inf")
 
 
 def _current_outputs() -> dict:
@@ -103,13 +111,23 @@ if __name__ == "__main__":
             (GOLDEN / f"{case}.json").write_text(text)
     elif sys.argv[1:] == ["--diff"]:
         moved = False
+        largest = None  # (relative change, where)
         for case, text in _current_outputs().items():
-            lines = json_diff(json.loads(_expected(case)), json.loads(text))
-            if not lines and text != _expected(case):
-                lines = ["values equal, bytes differ (key order or layout)"]
-            for line in lines:
-                print(f"{case}.json: {line}")
-            moved = moved or bool(lines)
+            moves = json_diff(json.loads(_expected(case)), json.loads(text))
+            if not moves and text != _expected(case):
+                print(f"{case}.json: values equal, bytes differ (key order or layout)")
+                moved = True
+            for path, old, new in moves:
+                rel = relative_change(old, new)
+                line = f"{case}.json: {path}: {json.dumps(old)} -> {json.dumps(new)}"
+                if rel is not None:
+                    line += f"  (relative {rel:.3g})"
+                    if largest is None or rel > largest[0]:
+                        largest = (rel, f"{case}.json: {path}")
+                print(line)
+                moved = True
+        if largest is not None:
+            print(f"largest relative change of a float: {largest[0]:.3g} at {largest[1]}")
         sys.exit(1 if moved else 0)
     else:
         sys.exit("usage: python tests/test_golden.py --write | --diff")

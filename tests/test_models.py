@@ -150,6 +150,19 @@ class TestNaslund:
         with pytest.raises(ValidationError):
             naslund_model(f, nu, k=1, p=4.0)
 
+    @pytest.mark.parametrize("k", [43, 46])
+    def test_k_whose_collapse_bound_overflows_refused(self, sparse_instance, k) -> None:
+        # 2^C(k, 2) N sum(...) passes the largest float from k = 43 here; at
+        # k = 46 the factor 2^C(46, 2) = 2^1035 alone does
+        f, nu = sparse_instance
+        with pytest.raises(ValidationError, match=f"k = {k} is too large"):
+            naslund_model(f, nu, k=k, p=4.0)
+
+    def test_largest_finite_collapse_bound_kept(self, sparse_instance) -> None:
+        f, nu = sparse_instance
+        bound = naslund_model(f, nu, k=42, p=4.0).checks["lk_collapse_bound"]
+        assert math.isfinite(bound) and bound > 1e297
+
     @pytest.mark.parametrize("N, p, capped", [(100, 4.0, True), (5000, 0.0, False)])
     def test_width_cap_flagged(self, N, p, capped) -> None:
         # uniform nu has theta = 1/N: (2 / log N)^(1/(p+2)) is 0.87 and 0.48 here

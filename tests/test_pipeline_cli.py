@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -10,16 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densemodel.cli import main
-from densemodel.errors import EXIT_OK, EXIT_RESOURCE, EXIT_VALIDATION
+from densemodel.errors import EXIT_OK, EXIT_RESOURCE, EXIT_VALIDATION, ResourceError
+from densemodel.counting import LinearForm, count_brute, count_weighted
 from densemodel.pipeline import (
     PipelineConfig,
+    build_majorant,
     canonical_json,
     report_schema_version,
     run_pipeline,
     select_subset,
 )
 from densemodel.majorants import make_random_sparse
-from densemodel.signals import DiscreteSignal, read_csv
+from densemodel.signals import MAX_CONV_LENGTH, DiscreteSignal, read_csv
 
 
 configs = st.builds(
@@ -196,6 +199,11 @@ class TestCli:
         capsys.readouterr()
         assert code == EXIT_VALIDATION
 
+    def test_naslund_k_past_float_range_exit_code(self, capsys) -> None:
+        code = main(["densify", "--variant", "naslund", "--k", "46", "--N", "300"])
+        assert code == EXIT_VALIDATION
+        assert "k = 46 is too large" in capsys.readouterr().err
+
     def test_strict_flags_resource_cap(self, capsys) -> None:
         # a capping flag under --strict must not exit 0
         code = main(["bohr", "--eps", "0.2", "--N", "100", "--strict"])
@@ -227,6 +235,88 @@ class TestCountReuse:
         assert d["transfer"]["count_f"] == d["counts"]["f"]["total"]
         assert d["transfer"]["count_g"] == d["counts"]["g"]["total"]
         assert d["comparison"]["count_g"] == d["counts"]["g"]["total"]
+
+
+def _rebind_everywhere(monkeypatch, fn, replacement) -> None:
+    """Point every densemodel module's name for `fn` at `replacement`."""
+    for name, module in list(sys.modules.items()):
+        if name == "densemodel" or name.startswith("densemodel."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+class TestEachTransformOnce:
+    @pytest.mark.parametrize("variant", ["green", "hdr", "naslund"])
+    def test_no_signal_transformed_twice_on_one_grid(self, monkeypatch, variant) -> None:
+        from densemodel import signals
+
+        seen = []
+        original = signals.grid_fourier
+
+        def recorded(f, grid):
+            seen.append((f.support_lo, f.values.tobytes(), grid.M))
+            return original(f, grid)
+
+        _rebind_everywhere(monkeypatch, original, recorded)
+        run_pipeline(PipelineConfig(N=500, variant=variant, eps=0.2, eta=0.2, seed=7))
+        assert len(seen) == len(set(seen))
+
+    @pytest.mark.parametrize("variant", ["hdr", "naslund"])
+    def test_majorant_autocorrelation_taken_once(self, monkeypatch, variant) -> None:
+        from densemodel import majorants
+
+        calls = []
+        original = majorants.convolve
+
+        def counted(f, g):
+            calls.append(1)
+            return original(f, g)
+
+        monkeypatch.setattr(majorants, "convolve", counted)
+        run_pipeline(PipelineConfig(N=500, variant=variant, eps=0.2, eta=0.2, seed=7))
+        assert len(calls) == 1
+
+    def test_count_weighted_transforms_a_repeated_weight_once(self, monkeypatch) -> None:
+        w = DiscreteSignal(1, np.arange(1.0, 40.0))
+        form = LinearForm((1, 1, -2))
+        calls = []
+        original = np.fft.rfft
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", counted)
+        total = count_weighted(form, [w] * 3).total
+        assert len(calls) == 2
+        assert total == pytest.approx(count_brute(form, [w] * 3).total, rel=1e-12)
+
+
+class TestOversizedWindows:
+    """A window past the convolution cap is refused before it is allocated."""
+
+    def test_build_majorant_past_cap(self) -> None:
+        with pytest.raises(ResourceError, match="exceeds cap"):
+            build_majorant("uniform", MAX_CONV_LENGTH + 1, 2 / 3, 0)
+
+    @pytest.mark.parametrize("argv", [
+        ["majorant", "--kind", "uniform", "--N", str(MAX_CONV_LENGTH + 1)],
+        # the scan window [-eps N, eps N] has 2^24 + 1 points
+        ["bohr", "--eps", "0.5", "--N", str(MAX_CONV_LENGTH)],
+    ])
+    def test_cli_exit_code_past_cap(self, argv, capsys) -> None:
+        assert main(argv) == EXIT_RESOURCE
+        assert "exceeds cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["pipeline", "densify"])
+    def test_pipeline_and_densify_check_the_cap(self, monkeypatch, capsys,
+                                                command) -> None:
+        import densemodel.pipeline as pipeline_mod
+
+        monkeypatch.setattr(pipeline_mod, "MAX_CONV_LENGTH", 1000)
+        assert main([command, "--N", "1001"]) == EXIT_RESOURCE
+        assert "majorant window [1, 1001] exceeds cap 1000" in capsys.readouterr().err
 
 
 class TestDegenerateFlags:
