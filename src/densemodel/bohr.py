@@ -1,10 +1,13 @@
 """Large-spectrum extraction on an interval cover and Bohr set enumeration.
 
-The spectrum grid uses exactly M = ceil(4*pi*N/eta) intervals so that any
-point of the true spectrum lies in a covered interval whose representative is
-within eta/(4*pi*N), the radius under which |fhat| can drop by at most half
-the threshold.  Bohr sets are enumerated by direct scan, which at desk scale
-is exact, and carry the pigeonhole lower-bound certificate.
+The spectrum grid has M intervals, the first 5-smooth M (a fast FFT length)
+at or above ceil(4*pi*N/eta), so that any point of the true spectrum lies in a
+covered interval whose representative is within eta/(4*pi*N), the radius
+under which |fhat| can drop by at most half the threshold.  A real f has a
+symmetric spectrum and ||n(-alpha)|| = ||n alpha||, so only the half circle
+j <= M/2 is kept: B(S, eps) = B(S cap [0, 1/2], eps).  Bohr sets are
+enumerated by direct scan, which at desk scale is exact, and carry the
+pigeonhole lower-bound certificate.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from .errors import ResourceError, ValidationError
 from .majorants import Majorant
@@ -31,7 +35,11 @@ FREQ_CHUNK = 512
 
 @dataclass(frozen=True)
 class SpectrumSet:
-    """Grid intervals meeting {alpha : |fhat(alpha)| >= eta * ||nu||_1}."""
+    """Grid intervals j <= M/2 meeting {alpha : |fhat(alpha)| >= eta * ||nu||_1}.
+
+    f is real, so |fhat(-alpha)| = |fhat(alpha)|: the interval M - j meets the
+    spectrum exactly when j does, and one of each pair {alpha, -alpha} is kept.
+    """
 
     threshold: float
     eta: float
@@ -56,7 +64,14 @@ class SpectrumSet:
 
 def spectrum(f: DiscreteSignal, nu: Majorant, eta: float,
              m_cap: int = M_CAP_DEFAULT, strict: bool = False) -> SpectrumSet:
-    """Intervals of the eta-level spectrum of f, at grid size M = ceil(4 pi N / eta).
+    """Intervals j <= M/2 of the eta-level spectrum of f.
+
+    M is the first 5-smooth length at or above ceil(4 pi N / eta), the size
+    the covering argument needs; when only this rounding would pass m_cap, M
+    is m_cap itself, which still covers.  `capped` is set, and `strict`
+    refuses, only when ceil(4 pi N / eta) itself passes m_cap.  Only j <= M/2
+    is thresholded: the spectrum of a real f is symmetric, and the Bohr set
+    of the kept representatives equals that of the whole spectrum.
 
     A grid point is included when its FFT value satisfies |fhat| >= threshold
     - rho, with rho the `grid_fourier_rounding` bound, so no point whose exact
@@ -67,16 +82,14 @@ def spectrum(f: DiscreteSignal, nu: Majorant, eta: float,
     if not 0 < eta <= 1:
         raise ValidationError("spectrum needs 0 < eta <= 1")
     N = nu.N
-    M = math.ceil(4 * math.pi * N / eta)
-    capped = False
-    if M > m_cap:
-        if strict:
-            raise ResourceError(f"spectrum grid M={M} exceeds cap {m_cap}")
-        M = m_cap
-        capped = True
+    need = math.ceil(4 * math.pi * N / eta)
+    capped = need > m_cap
+    if capped and strict:
+        raise ResourceError(f"spectrum grid M={need} exceeds cap {m_cap}")
+    M = min(next_fast_len(need, real=True), m_cap)
     threshold = eta * nu.l1_mass
     grid = FrequencyGrid(M)
-    mods = np.abs(grid_fourier(f, grid))
+    mods = np.abs(grid_fourier(f, grid)[:M // 2 + 1])
     idx = np.nonzero(mods >= threshold - grid_fourier_rounding(f, grid))[0]
     return SpectrumSet(threshold=threshold, eta=eta, M=M,
                        interval_indices=idx, capped=capped)

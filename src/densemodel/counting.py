@@ -1,9 +1,10 @@
 """Weighted counting of solutions to c_1 x_1 + ... + c_s x_s = 0, Sum c_i = 0.
 
 The production route dilates each weight by its coefficient and takes one
-cyclic convolution on a power-of-two modulus large enough to rule out
-wraparound; a brute-force nested sum and a direct spectral average provide
-independent oracles.  The transfer-error chain and the threshold-extraction
+cyclic convolution on a modulus large enough to rule out wraparound: the
+first 5-smooth (fast FFT) length above sum |c_i| times the support radius.
+A brute-force nested sum and a direct spectral average provide independent
+oracles.  The transfer-error chain and the threshold-extraction
 certificates used by the sparse pipeline live here too.
 """
 
@@ -13,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from .errors import ResourceError, ValidationError
 from .signals import (
@@ -74,9 +76,7 @@ def _diagonal(weights) -> float:
 def _wrap_modulus(form: LinearForm, weights) -> int:
     radius = max(max(abs(w.support_lo), abs(w.support_hi)) for w in weights)
     need = sum(abs(c) for c in form.coeffs) * radius + 1
-    W = 1
-    while W <= need:
-        W *= 2
+    W = next_fast_len(need + 1, real=True)
     if W > WRAP_MODULUS_CAP:
         raise ResourceError(f"wrap modulus {W} exceeds cap {WRAP_MODULUS_CAP}")
     return W

@@ -13,8 +13,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ResourceError, ValidationError
 from .signals import (
+    MAX_CONV_LENGTH,
     DiscreteSignal,
     FrequencyGrid,
     convolve,
@@ -36,7 +37,8 @@ class Majorant:
 
     The levels the constructions read are measured on first read and kept, as
     the signal is read-only: the mass, theta_Linf, theta_L2, the window
-    autocorrelation and the all-lag corr2.
+    autocorrelation and the all-lag corr2.  A window [1, N] longer than the
+    convolution cap is refused first, before any of them allocates it.
     """
 
     signal: DiscreteSignal
@@ -44,6 +46,9 @@ class Majorant:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.N > MAX_CONV_LENGTH:
+            raise ResourceError(
+                f"majorant window [1, {self.N}] exceeds cap {MAX_CONV_LENGTH}")
         if self.N < 1:
             raise ValidationError("majorant needs N >= 1")
         if np.any(self.signal.values < 0):

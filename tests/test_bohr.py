@@ -152,3 +152,41 @@ class TestSpectrumRounding:
                    make_weighted_primes(N), make_uniform(N)):
             spec = spectrum(nu.signal, nu, eta=1.0)
             assert 0 in spec.interval_indices, nu.metadata
+
+
+def is_5_smooth(n: int) -> bool:
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+class TestFastSpectrumGrid:
+    @pytest.mark.parametrize("N, eta, M", [(100, 0.4, 3200), (333, 0.25, 16875),
+                                           (2000, 0.3, 84375),
+                                           (20000, 0.1, 2_519_424)])
+    def test_grid_is_first_5_smooth_length_covering(self, N, eta, M) -> None:
+        nu = make_uniform(N)
+        spec = spectrum(nu.signal, nu, eta=eta)
+        need = math.ceil(4 * math.pi * N / eta)
+        assert spec.M == M and not spec.capped
+        assert is_5_smooth(M) and M >= need
+        assert not any(is_5_smooth(m) for m in range(need, M))
+
+    def test_cap_between_bound_and_rounding_holds_without_flag(self) -> None:
+        # ceil(4 pi 100 / 0.4) = 3142 fits the cap; only its rounding to 3200 does not
+        nu = make_uniform(100)
+        spec = spectrum(nu.signal, nu, eta=0.4, m_cap=3150)
+        assert (spec.M, spec.capped) == (3150, False)
+        assert spectrum(nu.signal, nu, eta=0.4, m_cap=3150, strict=True).M == 3150
+
+    def test_half_circle_representatives_give_the_same_bohr_set(self) -> None:
+        nu = make_random_sparse(2000, 2 / 3, seed=7)
+        spec = spectrum(nu.signal, nu, eta=0.2)
+        j = spec.interval_indices
+        assert spec.r > 1 and np.all(2 * j <= spec.M)
+        mirrored = np.concatenate([j, spec.M - j]) / spec.M
+        half = bohr_enumerate(spec.representatives, 0.3, 2000)
+        whole = bohr_enumerate(mirrored, 0.3, 2000)
+        assert half.size > 1
+        assert np.array_equal(half.elements, whole.elements)

@@ -208,3 +208,31 @@ class TestGivenCounts:
         # the given totals are what the report carries
         rep = transfer_error_bound(form, f, g, count_f=1.0, count_g=2.0)
         assert (rep.count_f, rep.count_g) == (1.0, 2.0)
+
+
+def is_5_smooth(n: int) -> bool:
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+class TestWrapModulus:
+    @pytest.mark.parametrize("coeffs, lo, size", [((1, 1, -2), 1, 40),
+                                                  ((3, -1, -2), -7, 25),
+                                                  ((1, 1, 1, -3), 2, 30)])
+    def test_first_5_smooth_modulus_past_the_sum_range(self, coeffs, lo,
+                                                       size) -> None:
+        form = LinearForm(coeffs)
+        rng = np.random.default_rng(size)
+        w = [DiscreteSignal(lo, rng.integers(0, 5, size=size).astype(float))
+             for _ in coeffs]
+        rep = count_weighted(form, w)
+        W = rep.wrap_modulus
+        # |c_1 x_1 + ... + c_s x_s| <= reach, so any W > reach rules out wraparound;
+        # the modulus is the first 5-smooth W >= reach + 2
+        reach = sum(abs(c) for c in coeffs) * max(abs(lo), abs(lo + size - 1))
+        assert is_5_smooth(W) and W >= reach + 2
+        assert not any(is_5_smooth(m) for m in range(reach + 2, W))
+        assert W & (W - 1) != 0  # not a power of two on these instances
+        assert rep.total == pytest.approx(count_integer(form, w), abs=1e-6)

@@ -9,7 +9,9 @@ the files from the current sources:
 
 To list, before writing, each JSON value the current sources would move
 (`file: path: old -> new`, with the relative change of each moved float and
-the largest of them; exits 1 if any moves):
+the largest of them), then one line per JSON path with list indices collapsed
+(`path[]`), giving the number of files it moved in and its largest relative
+change; exits 1 if any value moves:
 
     PYTHONPATH=src python tests/test_golden.py --diff
 """
@@ -19,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -98,6 +101,21 @@ def relative_change(old, new) -> float | None:
     return abs(new - old) / abs(old) if old else float("inf")
 
 
+def field_summary(moves_by_file: dict) -> list[str]:
+    """Per JSON path, indices collapsed: the files it moved in, its largest change."""
+    files, largest = {}, {}
+    for case, moves in moves_by_file.items():
+        for path, old, new in moves:
+            key = re.sub(r"\[\d+\]", "[]", path)
+            files.setdefault(key, set()).add(case)
+            rel = relative_change(old, new)
+            if rel is not None:
+                largest[key] = max(rel, largest.get(key, rel))
+    return [f"{key}: moved in {len(files[key])} file(s)"
+            + (f", largest relative change {largest[key]:.3g}" if key in largest else "")
+            for key in sorted(files)]
+
+
 def _current_outputs() -> dict:
     outputs = {case: _pipeline_bytes(case) for case in sorted(PIPELINE_CASES)}
     outputs.update({case: _densify_bytes(case) for case in sorted(DENSIFY_CASES)})
@@ -112,8 +130,10 @@ if __name__ == "__main__":
     elif sys.argv[1:] == ["--diff"]:
         moved = False
         largest = None  # (relative change, where)
+        moves_by_file = {}
         for case, text in _current_outputs().items():
             moves = json_diff(json.loads(_expected(case)), json.loads(text))
+            moves_by_file[case] = moves
             if not moves and text != _expected(case):
                 print(f"{case}.json: values equal, bytes differ (key order or layout)")
                 moved = True
@@ -128,6 +148,8 @@ if __name__ == "__main__":
                 moved = True
         if largest is not None:
             print(f"largest relative change of a float: {largest[0]:.3g} at {largest[1]}")
+        for line in field_summary(moves_by_file):
+            print(line)
         sys.exit(1 if moved else 0)
     else:
         sys.exit("usage: python tests/test_golden.py --write | --diff")

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import densemodel
 from densemodel.cli import main
 from densemodel.errors import EXIT_OK, EXIT_RESOURCE, EXIT_VALIDATION, ResourceError
 from densemodel.counting import LinearForm, count_brute, count_weighted
@@ -317,6 +321,28 @@ class TestOversizedWindows:
         monkeypatch.setattr(pipeline_mod, "MAX_CONV_LENGTH", 1000)
         assert main([command, "--N", "1001"]) == EXIT_RESOURCE
         assert "majorant window [1, 1001] exceeds cap 1000" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["majorant", "--diagnose"],
+        ["densify"],
+    ])
+    def test_csv_majorant_past_cap_refused_before_allocating(self, argv,
+                                                             tmp_path) -> None:
+        # one point of mass N passes the mass check; the window [1, N] is 10^9 long
+        spike = tmp_path / "spike.csv"
+        spike.write_text("n,value\n1,1000000000\n")
+        # 1 GiB of address space holds the interpreter but no N-sized array
+        limit = "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))"
+        code = (f"import resource, sys; {limit}; from densemodel.cli import main; "
+                "sys.exit(main(sys.argv[1:]))")
+        src = str(Path(densemodel.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code, *argv, "--majorant-csv", str(spike),
+             "--N", "1000000000"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+            timeout=120)
+        assert done.returncode == EXIT_RESOURCE, done.stderr
+        assert "majorant window [1, 1000000000] exceeds cap" in done.stderr
 
 
 class TestDegenerateFlags:
