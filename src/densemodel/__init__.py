@@ -9,11 +9,9 @@ instance at hand.
 
 from .bohr import BohrSet, SpectrumSet, bohr_enumerate, bohr_measure, spectrum
 from .convex import (
-    DualNormEstimate,
     HullProjection,
     PointHull,
     SaddleResult,
-    dual_norm_upper,
     minimax_solve,
     project_onto_hull,
 )
@@ -50,7 +48,6 @@ from .models import (
     hahn_banach_model,
     hdr_model,
     naslund_model,
-    validate_majorization,
 )
 from .pipeline import (
     PipelineConfig,

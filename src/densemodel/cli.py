@@ -109,7 +109,11 @@ def cmd_densify(args) -> None:
 
 
 def cmd_count(args) -> None:
-    form = counting.LinearForm(tuple(int(c) for c in args.form.split(",")))
+    try:
+        coeffs = tuple(int(c) for c in args.form.split(","))
+    except ValueError as e:
+        raise ValidationError(f"bad form {args.form!r}") from e
+    form = counting.LinearForm(coeffs)
     weights = [read_csv(p) for p in args.weights]
     if len(weights) == 1:
         weights = weights * form.s

@@ -2,10 +2,9 @@
 
 Nearest-point projection onto the convex hull of finitely many points via
 Frank-Wolfe with away steps (the duality gap is the optimality certificate),
-a supporting-hyperplane witness built from the projection direction, the
+a supporting-hyperplane witness built from the projection direction, and the
 bilinear saddle point over two finite hulls via the matrix-game linear
-programs, and a grid relaxation giving an upper bound for the dual of the
-Fourier sup norm.
+programs.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from .signals import DiscreteSignal
 
 DEFAULT_TOL = 1e-8
 FW_MAX_ITER = 50_000
-DUAL_DIRECTIONS = 16
 
 
 @dataclass(frozen=True)
@@ -195,51 +193,6 @@ def minimax_solve(A: PointHull, B: PointHull,
         raise DenseModelError(f"saddle gap {gap} exceeds tolerance")
     return SaddleResult(a_star=a_star, b_star=b_star, a_coeffs=lam,
                         b_coeffs=mu, value=value, gap=max(gap, 0.0))
-
-
-@dataclass(frozen=True)
-class DualNormEstimate:
-    """Bracket for sup_{||fhat||_inf <= 1} |<f, phi>| from the grid relaxation."""
-
-    upper: float
-    lower: float
-
-    def as_dict(self) -> dict:
-        return {"upper": self.upper, "lower": self.lower}
-
-
-def dual_norm_upper(phi) -> DualNormEstimate:
-    """Upper bound for the dual of the Fourier sup norm by constraint relaxation.
-
-    Maximizes Re<f, phi> over f in C^N subject to the D-direction linearized
-    constraints |fhat(j/M)| <= 1 at M = max(2N, 16) grid points, D =
-    DUAL_DIRECTIONS; the feasible set contains the true unit ball, so the
-    optimum dominates the dual norm (M >= N keeps it bounded).  The trivial
-    lower bound is ||phi||_inf.
-    """
-    phi = np.asarray(phi, dtype=np.complex128)
-    N = len(phi)
-    if N < 1:
-        raise ValidationError("phi must be non-empty")
-    M = max(2 * N, 16)
-    n = np.arange(1, N + 1)
-    alphas = np.arange(M) / M
-    psis = 2.0 * np.pi * np.arange(DUAL_DIRECTIONS) / DUAL_DIRECTIONS
-    theta = 2.0 * np.pi * np.outer(alphas, n)  # (M, N)
-    # variables (u_1..u_N, v_1..v_N); maximize sum u Re(phi) + v Im(phi)
-    c = np.concatenate([-phi.real, -phi.imag])
-    rows = []
-    for psi in psis:
-        rows.append(np.hstack([np.cos(theta - psi), -np.sin(theta - psi)]))
-    A_ub = np.vstack(rows)
-    b_ub = np.ones(A_ub.shape[0])
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub,
-                  bounds=[(None, None)] * (2 * N), method="highs")
-    if not res.success:
-        raise DenseModelError(f"dual norm LP failed: {res.message}")
-    upper = float(-res.fun)
-    lower = float(np.max(np.abs(phi)))
-    return DualNormEstimate(upper=upper, lower=lower)
 
 
 def positive_part_split(psi: DiscreteSignal) -> tuple[DiscreteSignal, DiscreteSignal]:

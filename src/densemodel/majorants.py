@@ -8,6 +8,7 @@ numbers as inputs instead of trusting asymptotic constants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -22,13 +23,11 @@ from .signals import (
     default_grid,
     fft_rounding_bound,
     fourier_sup_diff,
-    grid_fourier,
     lp_norm,
 )
 
 MASS_WINDOW = (0.5, 2.0)  # allowed l1_mass / N range
 SHIFT_SAMPLES = 2000  # sampled shift tuples per correlation order
-RESTRICTION_MASKS = 8  # random sign masks beside phi = nu
 
 
 @dataclass(frozen=True)
@@ -37,8 +36,9 @@ class Majorant:
 
     The levels the constructions read are measured on first read and kept, as
     the signal is read-only: the mass, theta_Linf, theta_L2, the window
-    autocorrelation and the all-lag corr2.  A window [1, N] longer than the
-    convolution cap is refused first, before any of them allocates it.
+    autocorrelation, and the all-lag corr2 and p = 4 moment read off it.  A
+    window [1, N] longer than the convolution cap is refused first, before any
+    of them allocates it.
     """
 
     signal: DiscreteSignal
@@ -88,6 +88,18 @@ class Majorant:
         """max(0, max over every lag m != 0 of sum_n nu(n) nu(n + m)) / N."""
         return max_lag_correlation(self, np.arange(1, self.N)) / self.N
 
+    @cached_property
+    def restriction_p4(self) -> float:
+        """int_0^1 |nuhat|^4 N / ||nu||_1^4: the p = 4 restriction moment.
+
+        |nuhat|^2 is the transform of the autocorrelation a, so by Parseval the
+        integral is sum_m a(m)^2.  It is also the sup of int |phihat|^4 over
+        |phi| <= nu: then |phi * phi| <= nu * nu pointwise (the majorant
+        property at even p), and int |phihat|^4 = ||phi * phi||_2^2.
+        """
+        a = self.autocorrelation
+        return math.fsum(a * a) * self.N / self.l1_mass ** 4
+
     def theta_decay(self, grid: FrequencyGrid) -> float:
         """Certified sup over the circle of |nuhat - 1_[N]hat| / N, from `grid`."""
         decay = fourier_sup_diff(self.signal, DiscreteSignal.interval(self.N), grid)
@@ -98,10 +110,9 @@ class Majorant:
 class MajorantDiagnostics:
     """Measured hypothesis levels for one majorant.
 
-    corr[l] and restriction_estimate[p] are maxima over tested configurations;
-    restriction_estimate is a LOWER estimate of the true sup over |phi| <= nu
-    (at p = 4 the tested phi = nu attains it), and corr[l] is exact only when
-    corr_exhaustive[l] is True.
+    corr[l] is a maximum over tested shift tuples, exact only when
+    corr_exhaustive[l] is True.  restriction_estimate[4.0] is
+    `Majorant.restriction_p4`, the sup over |phi| <= nu up to float rounding.
     """
 
     theta_decay: float
@@ -271,37 +282,9 @@ def max_correlation(nu: Majorant, l: int, shift_samples: int = SHIFT_SAMPLES,
     return best / nu.N, exhaustive
 
 
-def restriction_lower_estimate(nu: Majorant, p: float, grid: FrequencyGrid,
-                               n_masks: int = RESTRICTION_MASKS,
-                               seed: int = 0) -> float:
-    """Sampled LOWER estimate of sup_{|phi|<=nu} int |phihat|^p, normalized.
-
-    Tests phi = nu and random sign masks of nu; the integral is the grid
-    average; the result is scaled by N / ||nu||_1^p.  The average is taken on
-    max(grid.M, 2 span - 1) points, span the length of nu's support: phi * phi
-    spans 2 span - 1 points, so that grid folds nothing and at p = 4 its mean
-    of |phihat|^4 = ||phi * phi||_2^2 is the exact integral.  A shorter grid
-    would add the folded overlaps and overestimate.
-    """
-    rng = np.random.default_rng(seed)
-    mass = nu.l1_mass
-    sig = nu.signal
-    grid = FrequencyGrid(max(grid.M, 2 * (sig.support_hi - sig.support_lo) + 1))
-    best = 0.0
-    for k in range(n_masks + 1):
-        if k == 0:
-            phi = sig
-        else:
-            signs = rng.choice([-1.0, 1.0], size=len(sig.values))
-            phi = DiscreteSignal(sig.support_lo, sig.values * signs)
-        integral = float(np.mean(np.abs(grid_fourier(phi, grid)) ** p))
-        best = max(best, integral)
-    return best * nu.N / mass ** p
-
-
 def diagnose(nu: Majorant, grid: FrequencyGrid | None = None, k_max: int = 2,
              seed: int = 0) -> MajorantDiagnostics:
-    """Measure every hypothesis level; the restriction estimate is taken at p = 4."""
+    """Measure every hypothesis level; the restriction moment is taken at p = 4."""
     if k_max < 2:
         raise ValidationError("diagnose needs k_max >= 2")
     if grid is None:
@@ -310,18 +293,12 @@ def diagnose(nu: Majorant, grid: FrequencyGrid | None = None, k_max: int = 2,
     corr_exhaustive = {2: True}
     for l in range(3, k_max + 1):
         corr[l], corr_exhaustive[l] = max_correlation(nu, l, SHIFT_SAMPLES, seed)
-    # At even p no sign mask can beat phi = nu: |phi| <= nu gives |phi * phi| <=
-    # nu * nu pointwise, on Z and on the folded grid Z/M alike (the Hardy-
-    # Littlewood majorant property), so int |phihat|^4 = ||phi * phi||_2^2 is
-    # largest at phi = nu.
-    restriction = {4.0: restriction_lower_estimate(nu, 4.0, grid, n_masks=0)}
     return MajorantDiagnostics(
         theta_decay=nu.theta_decay(grid),
         theta_L2=nu.theta_L2,
         theta_Linf=nu.theta_Linf,
         corr=corr,
         corr_exhaustive=corr_exhaustive,
-        restriction_estimate=restriction,
-        provenance={"grid_M": grid.M, "shift_samples": SHIFT_SAMPLES,
-                    "seed": seed, "restriction_masks": 0},
+        restriction_estimate={4.0: nu.restriction_p4},
+        provenance={"grid_M": grid.M, "shift_samples": SHIFT_SAMPLES, "seed": seed},
     )

@@ -92,15 +92,6 @@ def require_majorization(f: DiscreteSignal, nu: Majorant) -> None:
             f"f(n)={fv[bad[0]]}, nu(n)={nv[bad[0]]}")
 
 
-def validate_majorization(f: DiscreteSignal, nu: Majorant) -> bool:
-    """True iff 0 <= f(n) <= nu(n) for all n."""
-    try:
-        require_majorization(f, nu)
-    except ValidationError:
-        return False
-    return True
-
-
 def _power_sum(sig: DiscreteSignal, k: float) -> float:
     return float(np.sum(sig.values.astype(np.float64) ** k))
 
@@ -261,13 +252,16 @@ def naslund_model(f: DiscreteSignal, nu: Majorant, k: int, p: float,
                   strict: bool = False) -> DenseModelReport:
     """g = f * sigma at the decay-driven width eps = (2 C_p / log(1/theta))^(1/(p+2)).
 
-    theta is the measured L^inf level nu(n) <= theta N.  A width above 1/2 is
-    cut to 1/2 and flagged `width_capped`.  The report certifies the L^k bound
-    through the multiplicity-collapse chain with measured, Bohr-restricted
-    correlation constants.
+    theta is the measured L^inf level nu(n) <= theta N, and p must be finite
+    with p + 2 > 0.  A width above 1/2 is cut to 1/2 and flagged
+    `width_capped`.  The report certifies the L^k bound through the
+    multiplicity-collapse chain with measured, Bohr-restricted correlation
+    constants.
     """
     if k < 2:
         raise ValidationError("naslund_model needs k >= 2")
+    if not (math.isfinite(p) and p + 2 > 0):
+        raise ValidationError(f"naslund_model needs a finite p > -2, got {p}")
     theta = nu.theta_Linf
     if theta >= 1:
         raise ValidationError("naslund_model needs L^inf level theta < 1")
@@ -376,31 +370,30 @@ def _hb_highs(N: int) -> _Highs:
 
 def hahn_banach_model(f: DiscreteSignal, nu: Majorant,
                       grid: FrequencyGrid | None = None,
-                      directions: int = HB_DIRECTIONS,
                       tol: float = 1e-6) -> DenseModelReport:
     """Best bounded approximant 0 <= g <= 1_[N] by direct LP minimization.
 
     Minimizes t subject to D-direction linearizations of |fhat - ghat| <= t at
-    grid frequencies, generating rows lazily from g = 0 and t = 0: each round
-    adds, at the 24 strongest frequencies with |fhat - ghat| cos(pi/D) > t + tol,
-    the direction nearest the phase of fhat - ghat and its two neighbours.  f and
-    g are real, so the row at (M - j, -psi) is the row at (j, psi) and only
-    0 <= j <= M/2 is scanned.  One HiGHS model gains each new row once and
-    re-solves from its last basis.  The LP value t* lower bounds the relaxed
-    optimum; the returned g is feasible, so its certified Fourier error bounds
-    it above.
+    grid frequencies, D = HB_DIRECTIONS, generating rows lazily from g = 0 and
+    t = 0: each round adds, at the 24 strongest frequencies with
+    |fhat - ghat| cos(pi/D) > t + tol (tol finite and >= 0), the direction
+    nearest the phase of fhat - ghat and its two neighbours.  f and g are real,
+    so the row at (M - j, -psi) is the row at (j, psi) and only 0 <= j <= M/2
+    is scanned.  One HiGHS model gains each new row once and re-solves from its
+    last basis.  The LP value t* lower bounds the relaxed optimum; the returned
+    g is feasible, so its certified Fourier error bounds it above.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValidationError(f"hahn_banach_model needs a finite tol >= 0, got {tol}")
     require_majorization(f, nu)
     if grid is None:
         grid = FrequencyGrid(HB_GRID_M)
-    if directions < 3:
-        raise ValidationError("need at least 3 modulus directions")
     N = nu.N
     M = grid.M
     half = M // 2 + 1
-    psis = 2.0 * np.pi * np.arange(directions) / directions
+    psis = 2.0 * np.pi * np.arange(HB_DIRECTIONS) / HB_DIRECTIONS
     fhat = grid_fourier(f, grid)[:half]
-    cos_gap = math.cos(math.pi / directions)
+    cos_gap = math.cos(math.pi / HB_DIRECTIONS)
 
     highs = _hb_highs(N)
     rows = set()  # (j, d) already in the LP; at j = 0 and j = M/2, d and -d give one row
@@ -418,10 +411,10 @@ def hahn_banach_model(f: DiscreteSignal, nu: Majorant,
         for j in violated:
             diff = fhat[j] - ghat[j]
             phase = math.atan2(diff.imag, diff.real)
-            d = int(round(phase / (2 * math.pi / directions))) % directions
-            for dd in (d, (d + 1) % directions, (d - 1) % directions):
+            d = int(round(phase / (2 * math.pi / HB_DIRECTIONS))) % HB_DIRECTIONS
+            for dd in (d, (d + 1) % HB_DIRECTIONS, (d - 1) % HB_DIRECTIONS):
                 if j == 0 or 2 * j == M:
-                    dd = min(dd, -dd % directions)
+                    dd = min(dd, -dd % HB_DIRECTIONS)
                 if (j, dd) not in rows:
                     rows.add((j, dd))
                     new.append(_hb_constraint_row(N, j / M, float(psis[dd]), fhat[j]))
@@ -445,6 +438,6 @@ def hahn_banach_model(f: DiscreteSignal, nu: Majorant,
         "converged": converged,
     }
     return _report("hahn_banach",
-                   {"grid_M": M, "directions": directions, "tol": tol},
+                   {"grid_M": M, "directions": HB_DIRECTIONS, "tol": tol},
                    f, nu, g, err, checks, flags,
                    [("lp_optimum", t_star, checks["t_upper"], converged)])

@@ -168,8 +168,12 @@ class PipelineConfig:
 
     @classmethod
     def read(cls, path) -> "PipelineConfig":
-        with open(path) as fh:
-            return cls.from_text(fh.read())
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except OSError as e:
+            raise ValidationError(f"{path}: cannot read: {e.strerror}") from e
+        return cls.from_text(text)
 
 
 @dataclass(frozen=True)

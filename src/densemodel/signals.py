@@ -117,11 +117,6 @@ def subtract(f: DiscreteSignal, g: DiscreteSignal) -> DiscreteSignal:
     return DiscreteSignal(lo, fv - gv)
 
 
-def multiply(f: DiscreteSignal, g: DiscreteSignal) -> DiscreteSignal:
-    lo, fv, gv = align(f, g)
-    return DiscreteSignal(lo, fv * gv)
-
-
 @dataclass(frozen=True)
 class FrequencyGrid:
     """M equally spaced points j/M of the circle, j = 0..M-1."""
@@ -343,7 +338,11 @@ def write_csv(f: DiscreteSignal, path) -> None:
 def read_csv(path) -> DiscreteSignal:
     """Read the `n,value` format; rows may be in any order, absent n means 0."""
     entries = {}
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as e:
+        raise ValidationError(f"{path}: cannot read: {e.strerror}") from e
+    with fh:
         r = csv.reader(fh)
         header = next(r, None)
         if header is None or [h.strip() for h in header[:2]] != ["n", "value"]:

@@ -1,4 +1,4 @@
-"""Hull projection, saddle points over hulls, and the dual-norm relaxation."""
+"""Hull projection and saddle points over hulls."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from densemodel.convex import (
     PointHull,
-    dual_norm_upper,
     minimax_solve,
     positive_part_split,
     project_onto_hull,
@@ -112,24 +111,6 @@ class TestMinimax:
         res = minimax_solve(PointHull(np.eye(3)), PointHull(G.T))
         assert res.value == pytest.approx(brute_game_value(G, steps=100),
                                           abs=2e-2)
-
-
-class TestDualNorm:
-    def test_bracket_order(self) -> None:
-        rng = np.random.default_rng(1)
-        phi = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        est = dual_norm_upper(phi)
-        assert est.lower <= est.upper + 1e-9
-
-    def test_single_phase_vector(self) -> None:
-        # phi = e(alpha n): a matched f with unit spectrum gives value 1, and
-        # Parseval caps the dual norm by the L^1 norm of a Dirichlet kernel
-        N = 12
-        n = np.arange(1, N + 1)
-        phi = np.exp(2j * np.pi * 0.3 * n)
-        est = dual_norm_upper(phi)
-        assert est.lower == pytest.approx(1.0)
-        assert 1.0 - 1e-6 <= est.upper <= 2.0 + (4 / np.pi ** 2) * np.log(N)
 
 
 class TestPositivePartSplit:

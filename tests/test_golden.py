@@ -77,6 +77,17 @@ def test_densify_output_matches_golden(name) -> None:
     assert _densify_bytes(name) == _expected(name)
 
 
+def test_golden_files_are_strict_json() -> None:
+    # RFC 8259 JSON has no NaN or Infinity, which json.dumps would write
+    def refuse(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+
+    files = sorted(GOLDEN.glob("*.json"))
+    assert len(files) == len(PIPELINE_CASES) + len(DENSIFY_CASES)
+    for path in files:
+        json.loads(path.read_text(), parse_constant=refuse)
+
+
 _ABSENT = "<absent>"
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -19,9 +20,8 @@ from densemodel.majorants import (
     make_weighted_primes,
     max_correlation,
     max_lag_correlation,
-    restriction_lower_estimate,
 )
-from densemodel.signals import DiscreteSignal, FrequencyGrid
+from densemodel.signals import DiscreteSignal, FrequencyGrid, grid_fourier
 
 
 def brute_max_correlation(nu: Majorant, l: int) -> float:
@@ -131,20 +131,16 @@ class TestDiagnose:
         assert d.provenance["seed"] == 9
 
     def test_restriction_estimate_is_lower_bound_at_nu(self) -> None:
-        # the p-th moment of nuhat itself is always a candidate
+        # the moment of nuhat itself: on a grid of M >= 2 span - 1 points,
+        # which folds nothing of nu * nu, the grid mean is the exact integral
         nu = make_random_sparse(200, 2 / 3, seed=4)
+        span = nu.signal.support_hi - nu.signal.support_lo + 1
         grid = FrequencyGrid(2048)
-        est = restriction_lower_estimate(nu, 4.0, grid, n_masks=0)
-        from densemodel.signals import grid_fourier
+        assert grid.M >= 2 * span - 1
         moment = float(np.mean(np.abs(grid_fourier(nu.signal, grid)) ** 4))
-        assert est == pytest.approx(moment * nu.N / nu.l1_mass ** 4)
-
-    def test_restriction_estimate_monotone_in_masks(self) -> None:
-        nu = make_random_sparse(200, 2 / 3, seed=4)
-        grid = FrequencyGrid(1024)
-        base = restriction_lower_estimate(nu, 4.0, grid, n_masks=0, seed=0)
-        more = restriction_lower_estimate(nu, 4.0, grid, n_masks=8, seed=0)
-        assert more >= base - 1e-12
+        assert nu.restriction_p4 == pytest.approx(moment * nu.N / nu.l1_mass ** 4,
+                                                  rel=1e-12)
+        assert diagnose(nu).restriction_estimate == {4.0: nu.restriction_p4}
 
     @given(st.integers(min_value=10, max_value=60),
            st.integers(min_value=0, max_value=50))
@@ -211,10 +207,12 @@ class TestDiagnoseComputes:
         ids=["sparse", "squares", "primes", "uniform"])
     def test_no_sign_mask_beats_nu_at_p4(self, nu) -> None:
         # |phi| <= nu gives |phi * phi| <= nu * nu pointwise, so phi = nu has
-        # the largest int |phihat|^4 = ||phi * phi||_2^2
-        grid = FrequencyGrid(4096)
-        assert (restriction_lower_estimate(nu, 4.0, grid, n_masks=8)
-                == restriction_lower_estimate(nu, 4.0, grid, n_masks=0))
+        # the largest int |phihat|^4 = ||phi * phi||_2^2, which restriction_p4 holds
+        top = nu.restriction_p4 * nu.l1_mass ** 4 / nu.N
+        rng = np.random.default_rng(0)
+        for _ in range(8):
+            phi = nu.signal.values * rng.choice([-1.0, 1.0], size=len(nu.signal.values))
+            assert float(np.sum(np.convolve(phi, phi) ** 2)) <= top * (1 + 1e-12)
 
     def test_pair_correlation_over_every_lag(self) -> None:
         # N - 1 = 2999 lags: more than a sampled screen would draw
@@ -223,40 +221,45 @@ class TestDiagnoseComputes:
         d = diagnose(nu)
         assert d.corr[2] == max_lag_correlation(nu, np.arange(1, N)) / N
         assert d.corr_exhaustive[2] is True
-        assert d.provenance["restriction_masks"] == 0
 
     def test_one_restriction_transform_and_no_sampled_correlation(self,
                                                                   monkeypatch) -> None:
+        # the one transform is theta_decay's, of nu - 1_[N] on its grid; the
+        # p = 4 moment takes none, though M = 1024 < 2 span - 1 would fold nu * nu
         import densemodel.majorants as majorants
+        import densemodel.signals as signals
 
-        nu = make_random_sparse(500, 2 / 3, seed=1)
-        expected = diagnose(nu).as_dict()
-        calls = []
-        original = majorants.grid_fourier
+        nu = make_random_sparse(2000, 2 / 3, seed=1)
+        grid = FrequencyGrid(1024)
+        expected = diagnose(nu, grid).as_dict()
+        seen = []
+        original = signals.grid_fourier
 
-        def counted(f, grid):
-            calls.append(grid.M)
-            return original(f, grid)
+        def recorded(f, g):
+            seen.append((np.array_equal(f.values, nu.signal.values), g.M))
+            return original(f, g)
 
         def unexpected(*args, **kwargs):
             raise AssertionError("diagnose sampled shift tuples at k_max = 2")
 
-        monkeypatch.setattr(majorants, "grid_fourier", counted)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("densemodel") and vars(module).get("grid_fourier") is original:
+                monkeypatch.setattr(module, "grid_fourier", recorded)
         monkeypatch.setattr(majorants, "max_correlation", unexpected)
-        assert diagnose(nu).as_dict() == expected
-        assert len(calls) == 1
+        assert diagnose(nu, grid).as_dict() == expected
+        assert seen == [(False, grid.M)]
 
 
 class TestRestrictionGrid:
     def test_short_grid_does_not_fold(self) -> None:
         # nu * nu spans 2 span - 1 points; a grid of M = 1024 < 2 span - 1 would
-        # fold it and add the overlaps to the p = 4 moment
+        # fold it and add the overlaps to the p = 4 moment, but the moment is
+        # read off the autocorrelation and takes no grid
         N = 2000
         nu = make_random_sparse(N, 2 / 3, seed=0)
-        short = restriction_lower_estimate(nu, 4.0, FrequencyGrid(1024), n_masks=0)
-        full = restriction_lower_estimate(nu, 4.0, FrequencyGrid(3999), n_masks=0)
-        assert short == pytest.approx(full, rel=1e-12)
+        short = diagnose(nu, FrequencyGrid(1024)).restriction_estimate[4.0]
+        assert short == nu.restriction_p4
         # the exact integral: int |nuhat|^4 = ||nu * nu||_2^2
         auto = np.convolve(nu.signal.values, nu.signal.values)
         exact = float(np.sum(auto ** 2)) * N / nu.l1_mass ** 4
-        assert short == pytest.approx(exact, rel=1e-9)
+        assert short == pytest.approx(exact, rel=1e-12)

@@ -17,7 +17,7 @@ from densemodel.models import (
     hahn_banach_model,
     hdr_model,
     naslund_model,
-    validate_majorization,
+    require_majorization,
 )
 from densemodel.pipeline import select_subset
 from densemodel.signals import (
@@ -40,19 +40,21 @@ def sparse_instance():
 class TestMajorization:
     def test_accepts_dominated(self, sparse_instance) -> None:
         f, nu = sparse_instance
-        assert validate_majorization(f, nu)
+        require_majorization(f, nu)
 
     def test_rejects_excess(self) -> None:
         nu = make_uniform(10)
         f = DiscreteSignal(1, np.full(10, 1.5))
-        assert not validate_majorization(f, nu)
+        with pytest.raises(ValidationError, match="first at n=1"):
+            require_majorization(f, nu)
         with pytest.raises(ValidationError, match="first at n=1"):
             green_model(f, nu, 0.2, 0.2)
 
     def test_rejects_negative(self) -> None:
         nu = make_uniform(10)
         f = DiscreteSignal(5, np.array([-0.1]))
-        assert not validate_majorization(f, nu)
+        with pytest.raises(ValidationError, match="first at n=5"):
+            require_majorization(f, nu)
 
 
 class TestGreen:
@@ -212,11 +214,6 @@ class TestHahnBanach:
         assert err.certified_upper == err.l1_norm
         assert err.certified_upper < err.grid_max + err.lipschitz_slack
         assert rep.checks["t_upper"] == err.certified_upper
-
-    def test_direction_count_domain(self, sparse_instance) -> None:
-        f, nu = sparse_instance
-        with pytest.raises(ValidationError):
-            hahn_banach_model(f, nu, directions=2)
 
     def test_rows_on_half_grid_without_mirror_repeats(self, sparse_instance,
                                                       monkeypatch) -> None:

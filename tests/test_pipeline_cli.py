@@ -198,10 +198,28 @@ class TestCli:
         data = json.loads(open(out).read())
         assert data["schema"] == "tlab-report/1"
 
-    def test_validation_exit_code(self, capsys) -> None:
-        code = main(["count", "--form", "1,1,-1", "--weights", "missing.csv"])
-        capsys.readouterr()
+    @pytest.mark.parametrize("argv", [
+        ["count", "--form", "1,1,-1", "--weights", "missing.csv"],
+        ["count", "--form", "1,a,-2", "--weights", "missing.csv"],
+        ["count", "--form", "1,1,-2", "--weights", "missing.csv"],
+        ["densify", "--majorant-csv", "missing.csv"],
+        ["densify", "--N", "300", "--signal", "missing.csv"],
+        ["pipeline", "--config", "missing.cfg"],
+        ["pipeline", "--N", "300", "--variant", "hahn_banach", "--tol", "nan"],
+        ["densify", "--N", "300", "--variant", "hahn_banach", "--tol", "inf"],
+        ["densify", "--N", "300", "--variant", "hahn_banach", "--tol", "-1"],
+        ["densify", "--N", "300", "--variant", "naslund", "--p", "-2"],
+        ["densify", "--N", "300", "--variant", "naslund", "--p", "nan"],
+        ["densify", "--N", "300", "--variant", "naslund", "--p", "inf"],
+    ], ids=["form-sum", "form-text", "count-file", "majorant-file", "signal-file",
+            "config-file", "hb-tol-nan", "hb-tol-inf", "hb-tol-negative",
+            "naslund-p-minus-2", "naslund-p-nan", "naslund-p-inf"])
+    def test_validation_exit_code(self, capsys, argv) -> None:
+        code = main(argv)
+        out, err = capsys.readouterr()
         assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_naslund_k_past_float_range_exit_code(self, capsys) -> None:
         code = main(["densify", "--variant", "naslund", "--k", "46", "--N", "300"])

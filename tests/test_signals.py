@@ -22,7 +22,6 @@ from densemodel.signals import (
     fourier_sup_diff,
     grid_fourier,
     lp_norm,
-    multiply,
     read_csv,
     subtract,
     write_csv,
@@ -77,12 +76,6 @@ class TestDiscreteSignal:
         for n in range(min(h.support_lo, f.support_lo) - 1,
                        max(h.support_hi, f.support_hi) + 2):
             assert h(n) == pytest.approx(f(n), abs=1e-12)
-
-    @given(small_signals, small_signals)
-    def test_multiply_pointwise(self, f, g) -> None:
-        h = multiply(f, g)
-        for n in range(h.support_lo - 1, h.support_hi + 2):
-            assert h(n) == pytest.approx(f(n) * g(n), abs=1e-12)
 
 
 class TestFourier:
