@@ -149,6 +149,8 @@ def bohr_enumerate(freqs, eps: float, N: int) -> BohrSet:
     if N < 1:
         raise ValidationError("bohr_enumerate needs N >= 1")
     freqs = np.atleast_1d(np.asarray(freqs, dtype=np.float64))
+    if not np.all(np.isfinite(freqs)):
+        raise ValidationError("bohr_enumerate needs finite frequencies")
     nmax = int(math.floor(eps * N))
     if 2 * nmax + 1 > MAX_CONV_LENGTH:
         raise ResourceError(

@@ -20,7 +20,7 @@ from .errors import (
     ValidationError,
 )
 from .pipeline import PipelineConfig, canonical_json
-from .signals import FrequencyGrid, read_csv, write_csv
+from .signals import read_csv, write_csv
 
 
 def _emit(data: dict, strict: bool) -> None:
@@ -59,10 +59,6 @@ def _parse_matrix(text: str) -> np.ndarray:
     return np.vstack(rows)
 
 
-def _grid(args) -> FrequencyGrid | None:
-    return FrequencyGrid(args.grid_M) if args.grid_M else None
-
-
 def _load_majorant(args) -> majorants.Majorant:
     if args.majorant_csv:
         sig = read_csv(args.majorant_csv)
@@ -84,7 +80,7 @@ def cmd_majorant(args) -> None:
     }
     if args.diagnose:
         data["diagnostics"] = majorants.diagnose(
-            nu, _grid(args), k_max=args.k_max, seed=args.seed).as_dict()
+            nu, k_max=args.k_max, seed=args.seed).as_dict()
     _emit(data, args.strict)
 
 
@@ -101,8 +97,8 @@ def cmd_densify(args) -> None:
     nu = _load_majorant(args)
     f = read_csv(args.signal) if args.signal else nu.signal
     report = pipeline.run_model(args.variant, f, nu, eps=args.eps, eta=args.eta,
-                                k=args.k, p=args.p, grid=_grid(args),
-                                tol=args.tol, strict=args.strict)
+                                k=args.k, p=args.p, tol=args.tol,
+                                strict=args.strict)
     if args.g_out:
         write_csv(report.g, args.g_out)
     _emit(report.as_dict(), args.strict)
@@ -174,15 +170,12 @@ def cmd_pipeline(args) -> None:
         cfg.N = args.N
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.grid_M:
-        cfg.grid_m = args.grid_M
     if args.tol is not None:
         cfg.tol = args.tol
     if args.variant:
         cfg.variant = args.variant
     cfg.strict = cfg.strict or args.strict
     report = pipeline.run_pipeline(cfg)
-    # written here, not through cfg.output, so the path stays out of the report
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(report.to_json())
@@ -194,12 +187,9 @@ def cmd_pipeline(args) -> None:
             f"strict mode: flags raised: {report.data['flags']}")
 
 
-def _add_common(p: argparse.ArgumentParser, *, grid_M: bool = False,
-                tol: bool = False, seed: bool = False) -> None:
+def _add_common(p: argparse.ArgumentParser, *, tol: bool = False,
+                seed: bool = False) -> None:
     """--strict, and each shared flag that the subcommand reads."""
-    if grid_M:
-        p.add_argument("--grid-M", type=int, default=0, dest="grid_M",
-                       help="frequency grid size (0 = automatic)")
     if tol:
         p.add_argument("--tol", type=float, default=1e-6)
     if seed:
@@ -229,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--diagnose", action="store_true")
     p.add_argument("--k-max", type=int, default=2)
     p.add_argument("--out", default="", help="write the signal as CSV")
-    _add_common(p, grid_M=True, seed=True)
+    _add_common(p, seed=True)
     p.set_defaults(fn=cmd_majorant)
 
     p = sub.add_parser("bohr", help="enumerate a Bohr set with its certificate")
@@ -251,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--p", type=float, default=4.0)
     p.add_argument("--g-out", default="", help="write g as CSV")
-    _add_common(p, grid_M=True, tol=True, seed=True)
+    _add_common(p, tol=True, seed=True)
     p.set_defaults(fn=cmd_densify)
 
     p = sub.add_parser("count", help="weighted solution count of a linear form")
@@ -289,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=0)
     p.add_argument("--variant", default="", choices=pipeline.VARIANTS)
     p.add_argument("--out", default="", help="write the JSON report here")
-    _add_common(p, grid_M=True, tol=True, seed=True)
+    _add_common(p, tol=True, seed=True)
     # no --seed or --tol keeps the config file's value (the default without a file)
     p.set_defaults(fn=cmd_pipeline, seed=None, tol=None)
 

@@ -87,8 +87,10 @@ def project_onto_hull(x, A: PointHull, tol: float = DEFAULT_TOL) -> HullProjecti
     gens = A.generators
     if x.shape != (A.dimension,):
         raise ValidationError("point dimension does not match hull")
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
+    if not np.all(np.isfinite(x)):
+        raise ValidationError("point must be finite")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValidationError(f"tol must be finite and positive, got {tol}")
     scale = 1.0 + float(np.dot(x, x))
     lam = np.zeros(A.n_generators)
     lam[int(np.argmin(np.sum((gens - x) ** 2, axis=1)))] = 1.0
@@ -181,6 +183,8 @@ def minimax_solve(A: PointHull, B: PointHull,
     """
     if A.dimension != B.dimension:
         raise ValidationError("hulls must share a dimension")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValidationError(f"tol must be finite and positive, got {tol}")
     G = A.generators @ B.generators.T
     lam, lower = _game_lp(G)
     mu, neg_upper = _game_lp(-G.T)

@@ -153,6 +153,8 @@ def make_random_sparse(N: int, density_exponent: float, seed: int) -> Majorant:
         raise ValidationError("make_random_sparse needs N >= 4")
     if not 0 < density_exponent <= 1:
         raise ValidationError("density_exponent must lie in (0, 1]")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     prob = float(N) ** (density_exponent - 1.0)
     resampled = False
     use_seed = seed
@@ -269,6 +271,8 @@ def max_correlation(nu: Majorant, l: int, shift_samples: int = SHIFT_SAMPLES,
     """Max over tested distinct l-tuples of sum_n nu(n+m_1)...nu(n+m_l), over N."""
     if l < 1:
         raise ValidationError("correlation order must be >= 1")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     if l == 1:
         return nu.l1_mass / nu.N, True
     rng = np.random.default_rng(seed)
@@ -282,13 +286,11 @@ def max_correlation(nu: Majorant, l: int, shift_samples: int = SHIFT_SAMPLES,
     return best / nu.N, exhaustive
 
 
-def diagnose(nu: Majorant, grid: FrequencyGrid | None = None, k_max: int = 2,
-             seed: int = 0) -> MajorantDiagnostics:
+def diagnose(nu: Majorant, k_max: int = 2, seed: int = 0) -> MajorantDiagnostics:
     """Measure every hypothesis level; the restriction moment is taken at p = 4."""
     if k_max < 2:
         raise ValidationError("diagnose needs k_max >= 2")
-    if grid is None:
-        grid = default_grid(nu.N)
+    grid = default_grid(nu.N)
     corr = {2: nu.corr2}  # over every lag
     corr_exhaustive = {2: True}
     for l in range(3, k_max + 1):

@@ -109,8 +109,7 @@ def _report(variant: str, params: dict, f: DiscreteSignal, nu: Majorant,
 
 
 def _convolution_model(f: DiscreteSignal, nu: Majorant, eps: float,
-                       eta: float, power: int, grid: FrequencyGrid | None,
-                       strict: bool) -> tuple:
+                       eta: float, power: int, strict: bool) -> tuple:
     """Shared core of the smoothing constructions: returns pieces for reports.
 
     Its checks are the pointwise certified inequalities of the proof chain on
@@ -129,8 +128,7 @@ def _convolution_model(f: DiscreteSignal, nu: Majorant, eps: float,
     g = convolve(f, sigma)
     if power == 2:
         g = convolve(g, sigma)
-    if grid is None:
-        grid = default_grid(g.support_hi - g.support_lo + 1)
+    grid = default_grid(g.support_hi - g.support_lo + 1)
     fhat = grid_fourier(f, grid)
     sighat = grid_fourier(sigma, grid)
     ghat = grid_fourier(g, grid)
@@ -165,11 +163,10 @@ def _convolution_model(f: DiscreteSignal, nu: Majorant, eps: float,
 
 
 def green_model(f: DiscreteSignal, nu: Majorant, eps: float, eta: float,
-                grid: FrequencyGrid | None = None,
                 strict: bool = False) -> DenseModelReport:
     """g = f * sigma * sigma: the doubly smoothed, L^inf-bounded approximant."""
     B, _, g, grid, err, checks, flags, claims = _convolution_model(
-        f, nu, eps, eta, power=2, grid=grid, strict=strict)
+        f, nu, eps, eta, power=2, strict=strict)
     # instance form of the L^inf chain: g <= 1 + theta_decay * N / |B|
     theta_decay = nu.theta_decay(grid)
     linf_bound = 1.0 + theta_decay * nu.N / B.size
@@ -183,11 +180,10 @@ def green_model(f: DiscreteSignal, nu: Majorant, eps: float, eta: float,
 
 
 def hdr_model(f: DiscreteSignal, nu: Majorant, eps: float,
-              grid: FrequencyGrid | None = None,
               strict: bool = False) -> DenseModelReport:
     """g = f * sigma with eta = eps: the singly smoothed, L^2-bounded approximant."""
     B, _, g, grid, err, checks, flags, claims = _convolution_model(
-        f, nu, eps, eps, power=1, grid=grid, strict=strict)
+        f, nu, eps, eps, power=1, strict=strict)
     theta_L2 = nu.theta_L2
     corr2 = nu.corr2  # exact: every shift m != 0 is tested
     l2 = _power_sum(g, 2)
@@ -248,7 +244,6 @@ def _bohr_restricted_correlations(nu: Majorant, B: BohrSet, k: int) -> dict:
 
 
 def naslund_model(f: DiscreteSignal, nu: Majorant, k: int, p: float,
-                  grid: FrequencyGrid | None = None,
                   strict: bool = False) -> DenseModelReport:
     """g = f * sigma at the decay-driven width eps = (2 C_p / log(1/theta))^(1/(p+2)).
 
@@ -269,7 +264,7 @@ def naslund_model(f: DiscreteSignal, nu: Majorant, k: int, p: float,
     width = (2.0 * NASLUND_C_P / log_inv) ** (1.0 / (p + 2))
     eps = min(0.5, width)
     B, sigma, g, grid, err, checks, flags, claims = _convolution_model(
-        f, nu, eps, eps, power=1, grid=grid, strict=strict)
+        f, nu, eps, eps, power=1, strict=strict)
     if k > 0.5 * math.sqrt(log_inv):
         flags.append("k_exceeds_hypothesis_window")
     if width > 0.5:
@@ -369,7 +364,6 @@ def _hb_highs(N: int) -> _Highs:
 
 
 def hahn_banach_model(f: DiscreteSignal, nu: Majorant,
-                      grid: FrequencyGrid | None = None,
                       tol: float = 1e-6) -> DenseModelReport:
     """Best bounded approximant 0 <= g <= 1_[N] by direct LP minimization.
 
@@ -386,8 +380,7 @@ def hahn_banach_model(f: DiscreteSignal, nu: Majorant,
     if not (math.isfinite(tol) and tol >= 0):
         raise ValidationError(f"hahn_banach_model needs a finite tol >= 0, got {tol}")
     require_majorization(f, nu)
-    if grid is None:
-        grid = FrequencyGrid(HB_GRID_M)
+    grid = FrequencyGrid(HB_GRID_M)
     N = nu.N
     M = grid.M
     half = M // 2 + 1

@@ -41,7 +41,7 @@ from .models import (
     hdr_model,
     naslund_model,
 )
-from .signals import MAX_CONV_LENGTH, DiscreteSignal, FrequencyGrid
+from .signals import MAX_CONV_LENGTH, DiscreteSignal
 
 SCHEMA_VERSION = "tlab-report/1"
 
@@ -54,14 +54,14 @@ _MAJORANT_MAKERS = {
     "primes": lambda N, **_: make_weighted_primes(N),
 }
 _MODEL_CALLS = {
-    "green": lambda f, nu, grid, eps, eta, strict, **_:
-        green_model(f, nu, eps, eta, grid=grid, strict=strict),
-    "hdr": lambda f, nu, grid, eps, strict, **_:
-        hdr_model(f, nu, eps, grid=grid, strict=strict),
-    "naslund": lambda f, nu, grid, k, p, strict, **_:
-        naslund_model(f, nu, k, p, grid=grid, strict=strict),
-    "hahn_banach": lambda f, nu, grid, tol, **_:
-        hahn_banach_model(f, nu, grid=grid, tol=tol),
+    "green": lambda f, nu, eps, eta, strict, **_:
+        green_model(f, nu, eps, eta, strict=strict),
+    "hdr": lambda f, nu, eps, strict, **_:
+        hdr_model(f, nu, eps, strict=strict),
+    "naslund": lambda f, nu, k, p, strict, **_:
+        naslund_model(f, nu, k, p, strict=strict),
+    "hahn_banach": lambda f, nu, tol, **_:
+        hahn_banach_model(f, nu, tol=tol),
 }
 MAJORANT_KINDS = tuple(_MAJORANT_MAKERS)
 VARIANTS = tuple(_MODEL_CALLS)
@@ -88,10 +88,8 @@ class PipelineConfig:
     eta: float = 0.1
     k: int = 3
     p: float = 4.0
-    grid_m: int = 0
     tol: float = 1e-6
     strict: bool = False
-    output: str = ""
 
     def validate(self) -> None:
         if self.N < 1:
@@ -104,6 +102,8 @@ class PipelineConfig:
             raise ValidationError(f"config: unknown selection {self.selection!r}")
         if not 0.0 <= self.delta <= 1.0:
             raise ValidationError("config: delta must lie in [0, 1]")
+        if self.seed < 0:
+            raise ValidationError("config: seed must be >= 0")
         LinearForm(self.form)
 
     def as_dict(self) -> dict:
@@ -169,10 +169,12 @@ class PipelineConfig:
     @classmethod
     def read(cls, path) -> "PipelineConfig":
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as e:
             raise ValidationError(f"{path}: cannot read: {e.strerror}") from e
+        except UnicodeDecodeError as e:
+            raise ValidationError(f"{path}: cannot read: not UTF-8 text") from e
         return cls.from_text(text)
 
 
@@ -226,10 +228,9 @@ def build_majorant(kind: str, N: int, exponent: float, seed: int) -> Majorant:
 
 
 def run_model(variant: str, f: DiscreteSignal, nu: Majorant, *, eps: float,
-              eta: float, k: int, p: float, grid: FrequencyGrid | None,
-              tol: float, strict: bool):
+              eta: float, k: int, p: float, tol: float, strict: bool):
     """g by one of VARIANTS; each variant reads the options its model takes."""
-    return _entry(_MODEL_CALLS, variant, "variant")(f, nu, grid, eps=eps, eta=eta,
+    return _entry(_MODEL_CALLS, variant, "variant")(f, nu, eps=eps, eta=eta,
                                                     k=k, p=p, tol=tol, strict=strict)
 
 
@@ -284,11 +285,9 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineReport:
                             nu, cfg.delta, cfg.selection, cfg.seed)
     if f.is_zero:
         flags.append("empty_subset")
-    grid = FrequencyGrid(cfg.grid_m) if cfg.grid_m else None
-    diag = _stage("diagnose", diagnose, nu, grid, seed=cfg.seed)
+    diag = _stage("diagnose", diagnose, nu, seed=cfg.seed)
     model = _stage("model", run_model, cfg.variant, f, nu, eps=cfg.eps,
-                   eta=cfg.eta, k=cfg.k, p=cfg.p, grid=grid, tol=cfg.tol,
-                   strict=cfg.strict)
+                   eta=cfg.eta, k=cfg.k, p=cfg.p, tol=cfg.tol, strict=cfg.strict)
     flags.extend(model.flags)
 
     form = LinearForm(cfg.form)
@@ -335,8 +334,4 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineReport:
         "flags": flags,
         "ok": ok,
     }
-    report = PipelineReport(data=_plain(data))
-    if cfg.output:
-        with open(cfg.output, "w") as fh:
-            fh.write(report.to_json())
-    return report
+    return PipelineReport(data=_plain(data))

@@ -339,25 +339,26 @@ def read_csv(path) -> DiscreteSignal:
     """Read the `n,value` format; rows may be in any order, absent n means 0."""
     entries = {}
     try:
-        fh = open(path, newline="")
+        with open(path, newline="", encoding="utf-8") as fh:
+            r = csv.reader(fh)
+            header = next(r, None)
+            if header is None or [h.strip() for h in header[:2]] != ["n", "value"]:
+                raise ValidationError(f"{path}: expected header 'n,value'")
+            for row in r:
+                if not row:
+                    continue
+                try:
+                    n = int(row[0])
+                    v = float(row[1])
+                except (ValueError, IndexError) as exc:
+                    raise ValidationError(f"{path}: bad row {row!r}") from exc
+                if n in entries:
+                    raise ValidationError(f"{path}: duplicate index n={n}")
+                entries[n] = v
     except OSError as e:
         raise ValidationError(f"{path}: cannot read: {e.strerror}") from e
-    with fh:
-        r = csv.reader(fh)
-        header = next(r, None)
-        if header is None or [h.strip() for h in header[:2]] != ["n", "value"]:
-            raise ValidationError(f"{path}: expected header 'n,value'")
-        for row in r:
-            if not row:
-                continue
-            try:
-                n = int(row[0])
-                v = float(row[1])
-            except (ValueError, IndexError) as exc:
-                raise ValidationError(f"{path}: bad row {row!r}") from exc
-            if n in entries:
-                raise ValidationError(f"{path}: duplicate index n={n}")
-            entries[n] = v
+    except UnicodeDecodeError as e:
+        raise ValidationError(f"{path}: cannot read: not UTF-8 text") from e
     if not entries:
         return DiscreteSignal.zero()
     lo, hi = min(entries), max(entries)

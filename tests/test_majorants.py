@@ -224,14 +224,13 @@ class TestDiagnoseComputes:
 
     def test_one_restriction_transform_and_no_sampled_correlation(self,
                                                                   monkeypatch) -> None:
-        # the one transform is theta_decay's, of nu - 1_[N] on its grid; the
-        # p = 4 moment takes none, though M = 1024 < 2 span - 1 would fold nu * nu
+        # the one transform is theta_decay's, of nu - 1_[N] on its 8N grid; the
+        # p = 4 moment takes none
         import densemodel.majorants as majorants
         import densemodel.signals as signals
 
         nu = make_random_sparse(2000, 2 / 3, seed=1)
-        grid = FrequencyGrid(1024)
-        expected = diagnose(nu, grid).as_dict()
+        expected = diagnose(nu).as_dict()
         seen = []
         original = signals.grid_fourier
 
@@ -246,18 +245,18 @@ class TestDiagnoseComputes:
             if name.startswith("densemodel") and vars(module).get("grid_fourier") is original:
                 monkeypatch.setattr(module, "grid_fourier", recorded)
         monkeypatch.setattr(majorants, "max_correlation", unexpected)
-        assert diagnose(nu, grid).as_dict() == expected
-        assert seen == [(False, grid.M)]
+        assert diagnose(nu).as_dict() == expected
+        assert seen == [(False, 8 * nu.N)]
 
 
 class TestRestrictionGrid:
     def test_short_grid_does_not_fold(self) -> None:
-        # nu * nu spans 2 span - 1 points; a grid of M = 1024 < 2 span - 1 would
-        # fold it and add the overlaps to the p = 4 moment, but the moment is
-        # read off the autocorrelation and takes no grid
+        # nu * nu spans 2 span - 1 points; a grid shorter than that would fold
+        # it and add the overlaps to the p = 4 moment, but the moment is read
+        # off the autocorrelation and takes no grid
         N = 2000
         nu = make_random_sparse(N, 2 / 3, seed=0)
-        short = diagnose(nu, FrequencyGrid(1024)).restriction_estimate[4.0]
+        short = diagnose(nu).restriction_estimate[4.0]
         assert short == nu.restriction_p4
         # the exact integral: int |nuhat|^4 = ||nu * nu||_2^2
         auto = np.convolve(nu.signal.values, nu.signal.values)

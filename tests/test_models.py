@@ -400,7 +400,7 @@ class TestModelClaims:
         nu = make_random_sparse(cfg.N, cfg.exponent, cfg.seed)
         f, _ = select_subset(nu, cfg.delta, cfg.selection, cfg.seed)
         model = run_model(variant, f, nu, eps=cfg.eps, eta=cfg.eta, k=cfg.k, p=cfg.p,
-                          grid=None, tol=cfg.tol, strict=False)
+                          tol=cfg.tol, strict=False)
         assert [c[0] for c in model.claims] == self.NAMES[variant]
         assert "claims" not in model.as_dict()
         claims = run_pipeline(cfg).data["claims"]

@@ -15,7 +15,13 @@ from hypothesis import strategies as st
 
 import densemodel
 from densemodel.cli import main
-from densemodel.errors import EXIT_OK, EXIT_RESOURCE, EXIT_VALIDATION, ResourceError
+from densemodel.errors import (
+    EXIT_OK,
+    EXIT_RESOURCE,
+    EXIT_VALIDATION,
+    ResourceError,
+    ValidationError,
+)
 from densemodel.counting import LinearForm, count_brute, count_weighted
 from densemodel.pipeline import (
     PipelineConfig,
@@ -71,6 +77,12 @@ class TestConfig:
     def test_domain_validated(self) -> None:
         with pytest.raises(Exception, match="delta"):
             PipelineConfig.from_text("delta = 1.5\n")
+
+    @pytest.mark.parametrize("line", ["grid_m = 0", "output = x"])
+    def test_grid_and_output_are_unknown_keys(self, line) -> None:
+        # every grid follows from the input, and only `pipeline --out` writes a report
+        with pytest.raises(ValidationError, match="unknown key"):
+            PipelineConfig.from_text(line + "\n")
 
 
 class TestSubsetSelection:
@@ -138,14 +150,6 @@ class TestPipeline:
         assert "certified-bound" in kinds and "exact" in kinds
         assert "sampled-estimate" in kinds
 
-    def test_report_written_to_output_path(self, tmp_path) -> None:
-        out = tmp_path / "report.json"
-        cfg = PipelineConfig(N=100, variant="green", eps=0.2, eta=0.2,
-                             output=str(out))
-        rep = run_pipeline(cfg)
-        assert out.read_text() == rep.to_json()
-        json.loads(out.read_text())
-
     def test_canonical_json_sorts_keys(self) -> None:
         assert canonical_json({"b": 1, "a": np.float64(2.5)}) == \
             '{\n  "a": 2.5,\n  "b": 1\n}\n'
@@ -211,15 +215,38 @@ class TestCli:
         ["densify", "--N", "300", "--variant", "naslund", "--p", "-2"],
         ["densify", "--N", "300", "--variant", "naslund", "--p", "nan"],
         ["densify", "--N", "300", "--variant", "naslund", "--p", "inf"],
+        ["majorant", "--N", "100", "--seed", "-2"],
+        ["densify", "--N", "300", "--seed", "-1"],
+        ["pipeline", "--N", "100", "--variant", "green", "--seed", "-1"],
+        ["pipeline", "--config", "seed.cfg"],
+        ["minimax", "--a-gens", "1,0", "--b-gens", "1,0", "--tol", "nan"],
+        ["project", "--point", "1,1", "--gens", "1,0;0,1", "--tol", "nan"],
+        ["project", "--point", "1,nan", "--gens", "0,0"],
+        ["bohr", "--freqs", "nan", "--eps", "0.1", "--N", "100"],
+        ["count", "--form", "1,1,-2", "--weights", "bad.csv"],
+        ["pipeline", "--config", "bad.cfg"],
     ], ids=["form-sum", "form-text", "count-file", "majorant-file", "signal-file",
             "config-file", "hb-tol-nan", "hb-tol-inf", "hb-tol-negative",
-            "naslund-p-minus-2", "naslund-p-nan", "naslund-p-inf"])
-    def test_validation_exit_code(self, capsys, argv) -> None:
+            "naslund-p-minus-2", "naslund-p-nan", "naslund-p-inf",
+            "majorant-seed-negative", "densify-seed-negative",
+            "pipeline-seed-negative", "config-seed-negative", "minimax-tol-nan",
+            "project-tol-nan", "project-point-nan", "bohr-freq-nan",
+            "count-file-not-utf8", "config-file-not-utf8"])
+    def test_validation_exit_code(self, capsys, tmp_path, monkeypatch, argv) -> None:
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "seed.cfg").write_text("seed = -3\n")
+        for name in ("bad.csv", "bad.cfg"):
+            (tmp_path / name).write_bytes(b"\xff\xfe")
         code = main(argv)
         out, err = capsys.readouterr()
         assert code == EXIT_VALIDATION
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_nan_frequency_named(self, capsys) -> None:
+        code = main(["bohr", "--freqs", "nan", "--eps", "0.1", "--N", "100"])
+        assert code == EXIT_VALIDATION
+        assert "finite frequencies" in capsys.readouterr().err
 
     def test_naslund_k_past_float_range_exit_code(self, capsys) -> None:
         code = main(["densify", "--variant", "naslund", "--k", "46", "--N", "300"])
@@ -406,5 +433,5 @@ class TestCliPipelineOptions:
                          "--out", str(out)]) == EXIT_OK
             printed.append(capsys.readouterr().out)
         assert printed[0] == printed[1]
-        assert json.loads(printed[0])["config"]["output"] == ""
+        assert "output" not in json.loads(printed[0])["config"]
         assert [o.read_text() for o in outs] == printed

@@ -21,7 +21,7 @@ from densemodel.pipeline import (
     select_subset,
 )
 
-OPTIONS = dict(eps=0.2, eta=0.3, k=3, p=4.0, grid=None, tol=1e-6, strict=False)
+OPTIONS = dict(eps=0.2, eta=0.3, k=3, p=4.0, tol=1e-6, strict=False)
 DIRECT = {
     "green": lambda f, nu: green_model(f, nu, 0.2, 0.3),
     "hdr": lambda f, nu: hdr_model(f, nu, 0.2),
@@ -137,6 +137,9 @@ class TestUnknownNames:
 # Each argv parses; adding the flag, which the subcommand never reads, is a usage error.
 UNREAD_FLAGS = [
     (["majorant"], ["--tol", "0.1"]),
+    (["majorant"], ["--grid-M", "8"]),
+    (["densify"], ["--grid-M", "8"]),
+    (["pipeline"], ["--grid-M", "8"]),
     (["bohr", "--eps", "0.1", "--N", "100"], ["--seed", "1"]),
     (["bohr", "--eps", "0.1", "--N", "100"], ["--grid-M", "8"]),
     (["bohr", "--eps", "0.1", "--N", "100"], ["--tol", "0.1"]),
@@ -165,11 +168,11 @@ class TestCliFlags:
         capsys.readouterr()
 
     @pytest.mark.parametrize("argv", [
-        ["majorant", "--grid-M", "8", "--seed", "1", "--strict"],
-        ["densify", "--grid-M", "8", "--tol", "0.1", "--seed", "1", "--strict"],
+        ["majorant", "--seed", "1", "--strict"],
+        ["densify", "--tol", "0.1", "--seed", "1", "--strict"],
         ["minimax", "--a-gens", "1,0", "--b-gens", "0,1", "--tol", "0.1", "--strict"],
         ["project", "--point", "1,1", "--gens", "0,0", "--tol", "0.1", "--strict"],
-        ["pipeline", "--grid-M", "8", "--tol", "0.1", "--seed", "1", "--strict"],
+        ["pipeline", "--tol", "0.1", "--seed", "1", "--strict"],
         ["bohr", "--eps", "0.1", "--N", "100", "--strict"],
         ["count", "--form", "1,1,-2", "--weights", "w.csv", "--strict"],
         ["weierstrass", "--strict"],
