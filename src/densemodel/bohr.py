@@ -86,7 +86,8 @@ def spectrum(f: DiscreteSignal, nu: Majorant, eta: float,
     capped = need > m_cap
     if capped and strict:
         raise ResourceError(f"spectrum grid M={need} exceeds cap {m_cap}")
-    M = min(next_fast_len(need, real=True), m_cap)
+    # clamp before rounding up: next_fast_len overflows on a need past ssize_t
+    M = min(next_fast_len(min(need, m_cap), real=True), m_cap)
     threshold = eta * nu.l1_mass
     grid = FrequencyGrid(M)
     mods = np.abs(grid_fourier(f, grid)[:M // 2 + 1])

@@ -1,7 +1,7 @@
 """Command-line front end: one subcommand per library area, JSON out.
 
 Exit codes: 0 success, 2 validation error, 3 resource cap, 4 failed certified
-inequality (or any flag under --strict).
+inequality (or any flag under --strict or a config file's `strict = true`).
 """
 
 from __future__ import annotations
@@ -24,25 +24,16 @@ from .signals import read_csv, write_csv
 
 
 def _emit(data: dict, strict: bool) -> None:
+    """Print a result; exit 4 on a failed inequality, or on any flag under strict.
+
+    Only a pipeline report has a top-level `ok`; every output that can carry a
+    flag carries it in a top-level `flags` list.
+    """
     sys.stdout.write(canonical_json(data))
-    if strict:
-        flags = _collect_flags(data)
-        if flags:
-            raise CertificationError(f"strict mode: flags raised: {flags}")
-
-
-def _collect_flags(data) -> list:
-    out = []
-    if isinstance(data, dict):
-        for k, v in data.items():
-            if k == "flags" and v:
-                out.extend(v)
-            else:
-                out.extend(_collect_flags(v))
-    elif isinstance(data, list):
-        for v in data:
-            out.extend(_collect_flags(v))
-    return out
+    if not data.get("ok", True):
+        raise CertificationError("pipeline report contains failed inequalities")
+    if strict and data.get("flags"):
+        raise CertificationError(f"strict mode: flags raised: {data['flags']}")
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -62,10 +53,10 @@ def _parse_matrix(text: str) -> np.ndarray:
 def _load_majorant(args) -> majorants.Majorant:
     if args.majorant_csv:
         sig = read_csv(args.majorant_csv)
-        N = args.N or sig.support_hi
+        N = sig.support_hi if args.N is None else args.N
         return majorants.Majorant(sig, N, {"kind": "file"})
-    return pipeline.build_majorant(args.kind, args.N or 1000, args.exponent,
-                                   args.seed)
+    N = 1000 if args.N is None else args.N
+    return pipeline.build_majorant(args.kind, N, args.exponent, args.seed)
 
 
 def cmd_majorant(args) -> None:
@@ -113,10 +104,7 @@ def cmd_count(args) -> None:
     weights = [read_csv(p) for p in args.weights]
     if len(weights) == 1:
         weights = weights * form.s
-    fn = {"convolution": counting.count_weighted,
-          "brute": counting.count_brute,
-          "spectral": counting.count_spectral}[args.method]
-    _emit(fn(form, weights).as_dict(), args.strict)
+    _emit(counting.count_weighted(form, weights).as_dict(), args.strict)
 
 
 def cmd_minimax(args) -> None:
@@ -151,7 +139,7 @@ def cmd_project(args) -> None:
 
 
 def cmd_weierstrass(args) -> None:
-    if args.n_terms:
+    if args.n_terms is not None:
         approx = polyapprox.build_abs_approx(args.n_terms)
     else:
         approx = polyapprox.build_positive_part(args.eps)
@@ -162,29 +150,19 @@ def cmd_weierstrass(args) -> None:
 
 
 def cmd_pipeline(args) -> None:
-    if args.config:
-        cfg = PipelineConfig.read(args.config)
-    else:
-        cfg = PipelineConfig()
-    if args.N:
-        cfg.N = args.N
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.tol is not None:
-        cfg.tol = args.tol
-    if args.variant:
-        cfg.variant = args.variant
+    cfg = PipelineConfig.read(args.config) if args.config else PipelineConfig()
+    for key in ("N", "seed", "tol", "variant"):
+        if getattr(args, key) is not None:
+            setattr(cfg, key, getattr(args, key))
     cfg.strict = cfg.strict or args.strict
     report = pipeline.run_pipeline(cfg)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(report.to_json())
-    sys.stdout.write(report.to_json())
-    if not report.ok:
-        raise CertificationError("pipeline report contains failed inequalities")
-    if args.strict and report.data["flags"]:
-        raise CertificationError(
-            f"strict mode: flags raised: {report.data['flags']}")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(report.to_json())
+        except OSError as e:
+            raise ValidationError(f"{args.out}: cannot write: {e.strerror}") from e
+    _emit(report.data, cfg.strict)
 
 
 def _add_common(p: argparse.ArgumentParser, *, tol: bool = False,
@@ -201,7 +179,7 @@ def _add_common(p: argparse.ArgumentParser, *, tol: bool = False,
 def _add_majorant_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", default="sparse",
                    choices=pipeline.MAJORANT_KINDS)
-    p.add_argument("--N", type=int, default=0)
+    p.add_argument("--N", type=int)
     p.add_argument("--exponent", type=float, default=2.0 / 3.0)
     p.add_argument("--majorant-csv", default="",
                    help="load the majorant from a CSV signal instead")
@@ -248,8 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--form", required=True, help="coefficients, e.g. 1,1,-2")
     p.add_argument("--weights", nargs="+", required=True,
                    help="CSV signal per position (one CSV reused if single)")
-    p.add_argument("--method", default="convolution",
-                   choices=["convolution", "brute", "spectral"])
     _add_common(p)
     p.set_defaults(fn=cmd_count)
 
@@ -268,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("weierstrass",
                        help="certified polynomial approximation of x_+ or |x|")
     p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--n-terms", type=int, default=0,
+    p.add_argument("--n-terms", type=int,
                    help="build the even |x| approximant at this order instead")
     p.add_argument("--coefficients", action="store_true")
     _add_common(p)
@@ -276,11 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="run the full counting pipeline")
     p.add_argument("--config", default="", help="flat key=value config file")
-    p.add_argument("--N", type=int, default=0)
-    p.add_argument("--variant", default="", choices=pipeline.VARIANTS)
+    p.add_argument("--N", type=int)
+    p.add_argument("--variant", choices=pipeline.VARIANTS)
     p.add_argument("--out", default="", help="write the JSON report here")
     _add_common(p, tol=True, seed=True)
-    # no --seed or --tol keeps the config file's value (the default without a file)
+    # an absent --N, --variant, --seed or --tol keeps the config file's value
     p.set_defaults(fn=cmd_pipeline, seed=None, tol=None)
 
     return parser

@@ -91,7 +91,10 @@ def project_onto_hull(x, A: PointHull, tol: float = DEFAULT_TOL) -> HullProjecti
         raise ValidationError("point must be finite")
     if not (math.isfinite(tol) and tol > 0):
         raise ValidationError(f"tol must be finite and positive, got {tol}")
-    scale = 1.0 + float(np.dot(x, x))
+    with np.errstate(over="ignore"):
+        scale = 1.0 + float(np.dot(x, x))
+    if not math.isfinite(scale):
+        raise ValidationError("point too large: |x|^2 overflows")
     lam = np.zeros(A.n_generators)
     lam[int(np.argmin(np.sum((gens - x) ** 2, axis=1)))] = 1.0
     gap = math.inf
@@ -185,7 +188,10 @@ def minimax_solve(A: PointHull, B: PointHull,
         raise ValidationError("hulls must share a dimension")
     if not (math.isfinite(tol) and tol > 0):
         raise ValidationError(f"tol must be finite and positive, got {tol}")
-    G = A.generators @ B.generators.T
+    with np.errstate(over="ignore"):
+        G = A.generators @ B.generators.T
+    if not np.all(np.isfinite(G)):
+        raise ValidationError("generators too large: the payoff a_i . b_j overflows")
     lam, lower = _game_lp(G)
     mu, neg_upper = _game_lp(-G.T)
     upper = -neg_upper

@@ -25,6 +25,7 @@ from .signals import (
 )
 
 BRUTE_SIZE_CAP = 10 ** 8
+SPECTRAL_SIZE_CAP = 10 ** 7
 WRAP_MODULUS_CAP = 1 << 26
 
 
@@ -185,6 +186,9 @@ def count_spectral(form: LinearForm, weights) -> CountReport:
     """
     weights = list(weights)
     W = _wrap_modulus(form, weights)
+    size = W * max(len(w.values) for w in weights)
+    if size > SPECTRAL_SIZE_CAP:
+        raise ResourceError(f"spectral phase matrix size {size} exceeds cap")
     j = np.arange(W)
     prod = np.ones(W, dtype=np.complex128)
     for cf, w in zip(form.coeffs, weights):

@@ -327,12 +327,15 @@ def write_csv(f: DiscreteSignal, path) -> None:
     Zero entries are not support points and get no row, so `read_csv` gives
     back `f.trimmed()` exactly; a zero signal is the header alone.
     """
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "value"])
-        for n, v in zip(f.indices, f.values):
-            if v != 0.0:
-                w.writerow([int(n), repr(float(v))])
+    try:
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["n", "value"])
+            for n, v in zip(f.indices, f.values):
+                if v != 0.0:
+                    w.writerow([int(n), repr(float(v))])
+    except OSError as e:
+        raise ValidationError(f"{path}: cannot write: {e.strerror}") from e
 
 
 def read_csv(path) -> DiscreteSignal:

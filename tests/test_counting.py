@@ -100,6 +100,12 @@ class TestCountRoutes:
         with pytest.raises(ResourceError):
             count_brute(form, w)
 
+    def test_spectral_cap(self) -> None:
+        # the phase matrix would be W x 20,000 = 81,000 x 20,000 entries
+        form = LinearForm((1, 1, -2))
+        with pytest.raises(ResourceError, match="exceeds cap"):
+            count_spectral(form, [DiscreteSignal.interval(20000)] * 3)
+
     def test_weight_count_must_match(self) -> None:
         form = LinearForm((1, 1, -2))
         with pytest.raises(ValidationError):

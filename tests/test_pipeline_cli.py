@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import densemodel
 from densemodel.cli import main
 from densemodel.errors import (
+    EXIT_CERTIFICATION,
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_VALIDATION,
@@ -225,13 +226,26 @@ class TestCli:
         ["bohr", "--freqs", "nan", "--eps", "0.1", "--N", "100"],
         ["count", "--form", "1,1,-2", "--weights", "bad.csv"],
         ["pipeline", "--config", "bad.cfg"],
+        ["majorant", "--N", "0"],
+        ["densify", "--N", "0"],
+        ["pipeline", "--N", "0"],
+        ["weierstrass", "--n-terms", "0"],
+        ["pipeline", "--N", "100", "--variant", "green", "--out", "no-dir/r.json"],
+        ["majorant", "--N", "100", "--out", "no-dir/nu.csv"],
+        ["densify", "--N", "300", "--g-out", "no-dir/g.csv"],
+        ["project", "--point", "1e200,0", "--gens", "0,0"],
+        ["minimax", "--a-gens", "1e200,0", "--b-gens", "1e200,0"],
     ], ids=["form-sum", "form-text", "count-file", "majorant-file", "signal-file",
             "config-file", "hb-tol-nan", "hb-tol-inf", "hb-tol-negative",
             "naslund-p-minus-2", "naslund-p-nan", "naslund-p-inf",
             "majorant-seed-negative", "densify-seed-negative",
             "pipeline-seed-negative", "config-seed-negative", "minimax-tol-nan",
             "project-tol-nan", "project-point-nan", "bohr-freq-nan",
-            "count-file-not-utf8", "config-file-not-utf8"])
+            "count-file-not-utf8", "config-file-not-utf8", "majorant-N-zero",
+            "densify-N-zero", "pipeline-N-zero", "weierstrass-n-terms-zero",
+            "pipeline-out-unwritable", "majorant-out-unwritable",
+            "densify-g-out-unwritable", "project-point-overflows",
+            "minimax-payoff-overflows"])
     def test_validation_exit_code(self, capsys, tmp_path, monkeypatch, argv) -> None:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "seed.cfg").write_text("seed = -3\n")
@@ -424,6 +438,14 @@ class TestCliPipelineOptions:
         assert parser.parse_args(["densify"]).seed == 0
         assert main(["pipeline", "--N", "200", "--variant", "green"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["config"]["seed"] == 0
+
+    def test_config_strict_exits_on_a_flag(self, tmp_path, capsys) -> None:
+        path = tmp_path / "strict.cfg"
+        path.write_text("N = 500\nstrict = true\n")
+        assert main(["pipeline", "--config", str(path)]) == EXIT_CERTIFICATION
+        out, err = capsys.readouterr()
+        assert "bohr_trivial" in json.loads(out)["flags"]
+        assert err == "error: strict mode: flags raised: ['bohr_trivial']\n"
 
     def test_out_path_stays_out_of_report(self, tmp_path, capsys) -> None:
         outs = [tmp_path / "a.json", tmp_path / "sub-b.json"]

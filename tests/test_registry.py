@@ -119,6 +119,14 @@ class TestCliStrictForwarding:
         assert code == EXIT_RESOURCE
         assert captured.out == ""
 
+    def test_tiny_eta_caps_the_spectrum_grid(self, capsys) -> None:
+        # ceil(4 pi N / eta) is past ssize_t; the grid is held at the cap
+        argv = ["densify", "--N", "300", "--variant", "green", "--eta", "1e-17"]
+        assert main(argv) == EXIT_OK
+        assert "spectrum_grid_capped" in json.loads(capsys.readouterr().out)["flags"]
+        assert main(argv + ["--strict"]) == EXIT_RESOURCE
+        assert capsys.readouterr().out == ""
+
 
 class TestUnknownNames:
     def test_build_majorant_rejects_unknown_kind(self) -> None:
@@ -154,6 +162,7 @@ UNREAD_FLAGS = [
     (["project", "--point", "1,1", "--gens", "0,0"], ["--grid-M", "8"]),
     (["project", "--point", "1,1", "--gens", "0,0"], ["--seed", "1"]),
     (["pipeline"], ["--variant", "bogus"]),
+    (["count", "--form", "1,1,-2", "--weights", "w.csv"], ["--method", "convolution"]),
 ]
 
 
