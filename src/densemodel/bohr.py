@@ -5,9 +5,12 @@ at or above ceil(4*pi*N/eta), so that any point of the true spectrum lies in a
 covered interval whose representative is within eta/(4*pi*N), the radius
 under which |fhat| can drop by at most half the threshold.  A real f has a
 symmetric spectrum and ||n(-alpha)|| = ||n alpha||, so only the half circle
-j <= M/2 is kept: B(S, eps) = B(S cap [0, 1/2], eps).  Bohr sets are
-enumerated by direct scan, which at desk scale is exact, and carry the
-pigeonhole lower-bound certificate.
+j <= M/2 is kept: B(S, eps) = B(S cap [0, 1/2], eps).  The fine grid is
+searched coarse to fine: a certified Taylor bound on the cells of f's check
+grid rules out every fine point of most cells, and only the rest are summed
+directly, unless one fine FFT costs less.  Bohr sets are enumerated by direct
+scan, which at desk scale is exact, and carry the pigeonhole lower-bound
+certificate.
 """
 
 from __future__ import annotations
@@ -24,13 +27,20 @@ from .signals import (
     MAX_CONV_LENGTH,
     DiscreteSignal,
     FrequencyGrid,
+    default_grid,
+    fourier_at_grid_points,
     grid_fourier,
     grid_fourier_rounding,
+    lp_norm,
 )
 
 M_CAP_DEFAULT = 1 << 22
 MEMBERSHIP_TOL = 1e-12
 FREQ_CHUNK = 512
+
+# One direct term f(n) e(j n / M) of `fourier_at_grid_points` costs about as
+# much as this many units of M log2 M in one fine `grid_fourier`.
+DIRECT_TERM_COST = 32
 
 
 @dataclass(frozen=True)
@@ -73,11 +83,18 @@ def spectrum(f: DiscreteSignal, nu: Majorant, eta: float,
     is thresholded: the spectrum of a real f is symmetric, and the Bohr set
     of the kept representatives equals that of the whole spectrum.
 
-    A grid point is included when its FFT value satisfies |fhat| >= threshold
-    - rho, with rho the `grid_fourier_rounding` bound, so no point whose exact
-    |fhat| reaches eta * ||nu||_1 is lost to rounding (f = nu, eta = 1 puts
-    frequency 0 exactly on the threshold).  An extra point within rho below
-    the threshold only shrinks the Bohr set built on the representatives.
+    A grid point is included when its value satisfies |fhat| >= threshold -
+    rho, with rho the `grid_fourier_rounding` bound of the fine grid, so no
+    point whose exact |fhat| reaches eta * ||nu||_1 is lost to rounding (f =
+    nu, eta = 1 puts frequency 0 exactly on the threshold).  An extra point
+    within rho below the threshold only shrinks the Bohr set built on the
+    representatives.
+
+    The values come from a coarse-to-fine search (`_candidates`): the fine
+    points of the coarse cells that may reach threshold - 2 rho are summed
+    directly, unless one fine FFT is cheaper, and then every value comes
+    from `grid_fourier` on the fine grid.  Either way a fine point is kept by
+    the same rule.
     """
     if not 0 < eta <= 1:
         raise ValidationError("spectrum needs 0 < eta <= 1")
@@ -90,10 +107,66 @@ def spectrum(f: DiscreteSignal, nu: Majorant, eta: float,
     M = min(next_fast_len(min(need, m_cap), real=True), m_cap)
     threshold = eta * nu.l1_mass
     grid = FrequencyGrid(M)
-    mods = np.abs(grid_fourier(f, grid)[:M // 2 + 1])
-    idx = np.nonzero(mods >= threshold - grid_fourier_rounding(f, grid))[0]
+    rho = grid_fourier_rounding(f, grid)
+    j = _candidates(f, M, threshold - 2.0 * rho)
+    if j is None:
+        mods = np.abs(grid_fourier(f, grid)[:M // 2 + 1])
+        idx = np.nonzero(mods >= threshold - rho)[0]
+    else:
+        idx = j[np.abs(fourier_at_grid_points(f, grid, j)) >= threshold - rho]
     return SpectrumSet(threshold=threshold, eta=eta, M=M,
                        interval_indices=idx, capped=capped)
+
+
+def _candidates(f: DiscreteSignal, M: int, level: float) -> np.ndarray | None:
+    """Fine indices j <= M/2 whose coarse cell may hold a |fhat| >= level.
+
+    The coarse grid is `default_grid(len f)`, of M0 points; the cell of a
+    coarse point a is |x - a| <= h = 1/(2 M0), and the cells cover the
+    circle.  Re-centring f to half-width H leaves |fhat| as it is, and
+    Taylor's theorem gives on the cell
+
+        |fhat(x)| <= |fhat(a)| + |fhat'(a)| h + (2 pi H)^2 ||f||_1 h^2 / 2,
+
+    where fhat'(a) = 2 pi i sum_n n f(n) e(a n) over the re-centred f, and
+    |fhat''| <= (2 pi H)^2 ||f||_1.  Two real FFTs give |fhat(a)| and
+    |fhat'(a)| at every coarse point to within their `grid_fourier_rounding`
+    bounds rho0 and rho1, which are added in and also cover the few
+    roundings of the bound itself.  A cell whose bound stays below level
+    holds no fine point that reaches it.
+
+    Returns None, so that the caller takes one fine FFT, when the coarse grid
+    is not coarser than the fine one, or when summing the candidates
+    directly, DIRECT_TERM_COST per term of points x |supp f|, would cost
+    more than one fine FFT, M log2 M.
+    """
+    coarse = default_grid(len(f.values))
+    M0 = coarse.M
+    if M0 >= M:
+        return None
+    c = (f.support_lo + f.support_hi) // 2
+    n = f.indices - c
+    H = max(-int(n[0]), int(n[-1]))
+    centred = DiscreteSignal(f.support_lo - c, f.values)
+    moment = DiscreteSignal(f.support_lo - c, n * f.values)
+    half = M0 // 2 + 1
+    h = coarse.lipschitz_radius
+    value = (np.abs(grid_fourier(centred, coarse)[:half])
+             + grid_fourier_rounding(centred, coarse))
+    slope = 2.0 * math.pi * (np.abs(grid_fourier(moment, coarse)[:half])
+                             + grid_fourier_rounding(moment, coarse))
+    curvature = (2.0 * math.pi * H) ** 2 * lp_norm(f, 1)
+    cells = np.nonzero(value + slope * h + curvature * h * h / 2.0 >= level)[0]
+    # fine j lies in the cell of a = cell/M0 when |2 j M0 - 2 cell M| <= M
+    lo = np.maximum(0, -((M - 2 * cells * M) // (2 * M0)))
+    hi = np.minimum(M // 2, (2 * cells * M + M) // (2 * M0))
+    counts = hi - lo + 1  # at least 1: a cell is M/M0 > 1 fine steps wide
+    total = int(counts.sum())
+    if DIRECT_TERM_COST * total * np.count_nonzero(f.values) > M * math.log2(M):
+        return None
+    shift = np.repeat(lo - np.cumsum(counts) + counts, counts)
+    # neighbouring cells share a boundary point, kept once
+    return np.unique(shift + np.arange(total))
 
 
 def circle_distance(x) -> np.ndarray:

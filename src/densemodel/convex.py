@@ -95,8 +95,15 @@ def project_onto_hull(x, A: PointHull, tol: float = DEFAULT_TOL) -> HullProjecti
         scale = 1.0 + float(np.dot(x, x))
     if not math.isfinite(scale):
         raise ValidationError("point too large: |x|^2 overflows")
+    with np.errstate(over="ignore"):
+        dist2 = np.sum((gens - x) ** 2, axis=1)
+        # with D^2 = max |a_i - x|^2, every |a_i|, |y| <= |x| + D and |y - x| <= D,
+        # so each score, gap, step and anchor is at most |x|^2 + 4 D^2 in size
+        reach = scale + 4.0 * float(np.max(dist2))
+    if not math.isfinite(reach):
+        raise ValidationError("generators too far from the point: |a_i - x|^2 overflows")
     lam = np.zeros(A.n_generators)
-    lam[int(np.argmin(np.sum((gens - x) ** 2, axis=1)))] = 1.0
+    lam[int(np.argmin(dist2))] = 1.0
     gap = math.inf
     it = 0
     for it in range(1, FW_MAX_ITER + 1):

@@ -185,6 +185,8 @@ def count_spectral(form: LinearForm, weights) -> CountReport:
     convolution path.
     """
     weights = list(weights)
+    if len(weights) != form.s:
+        raise ValidationError("need one weight per coefficient")
     W = _wrap_modulus(form, weights)
     size = W * max(len(w.values) for w in weights)
     if size > SPECTRAL_SIZE_CAP:

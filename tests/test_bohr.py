@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from densemodel.bohr import (
@@ -17,7 +17,16 @@ from densemodel.bohr import (
 )
 from densemodel.errors import ResourceError, ValidationError
 from densemodel.majorants import make_random_sparse, make_uniform
-from densemodel.signals import DiscreteSignal, fourier_eval
+from densemodel.pipeline import build_majorant, select_subset
+from densemodel.signals import (
+    DiscreteSignal,
+    FrequencyGrid,
+    default_grid,
+    fourier_at_grid_points,
+    fourier_eval,
+    grid_fourier,
+    grid_fourier_rounding,
+)
 
 
 def in_bohr(n: int, freqs, eps: float, N: int) -> bool:
@@ -190,3 +199,96 @@ class TestFastSpectrumGrid:
         whole = bohr_enumerate(mirrored, 0.3, 2000)
         assert half.size > 1
         assert np.array_equal(half.elements, whole.elements)
+
+
+def full_grid_oracle(f: DiscreteSignal, threshold: float, M: int) -> np.ndarray:
+    """The spectrum rule on one full fine FFT: j <= M/2 with |fhat| >= threshold - rho."""
+    grid = FrequencyGrid(M)
+    mods = np.abs(grid_fourier(f, grid)[:M // 2 + 1])
+    return np.nonzero(mods >= threshold - grid_fourier_rounding(f, grid))[0]
+
+
+def _selected(kind: str, N: int):
+    nu = build_majorant(kind, N, 2 / 3, 0)
+    return select_subset(nu, 0.5, "structured", 0)[0], nu
+
+
+def _odd_coarse_grid():
+    # len f = 684, so the coarse grid is default_grid(684) = 5625 = 3^2 5^4
+    nu = make_random_sparse(700, 2 / 3, seed=0)
+    return nu.signal, nu
+
+
+def _even_support():
+    # f = nu on the even n only: |fhat(0)| = |fhat(1/2)| = ||f||_1
+    nu = make_random_sparse(2000, 2 / 3, seed=0)
+    sig = nu.signal
+    return DiscreteSignal(sig.support_lo, sig.values * (sig.indices % 2 == 0)), nu
+
+
+class TestCoarseToFineSpectrum:
+    CASES = {
+        "sparse-N2000": (lambda: _selected("sparse", 2000), 0.2, "direct"),
+        "sparse-N20000": (lambda: _selected("sparse", 20000), 0.2, "direct"),
+        "sparse-N50000": (lambda: _selected("sparse", 50000), 0.2, "direct"),
+        "primes-N1000": (lambda: _selected("primes", 1000), 0.1, "fft"),
+        "squares-N1000": (lambda: _selected("squares", 1000), 0.1, "fft"),
+        "default-config": (lambda: _selected("sparse", 2000), 0.1, "fft"),
+        "odd-M": (lambda: _selected("sparse", 2000), 0.3, "direct"),
+        "odd-M0": (_odd_coarse_grid, 0.3, "direct"),
+        "cells-at-0-and-half": (_even_support, 0.2, "direct"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_indices_match_full_grid_oracle(self, monkeypatch, name) -> None:
+        import densemodel.bohr as bohr_mod
+
+        build, eta, side = self.CASES[name]
+        f, nu = build()
+        direct = []
+        original = bohr_mod.fourier_at_grid_points
+
+        def recorded(sig, grid, j):
+            direct.append(len(j))
+            return original(sig, grid, j)
+
+        monkeypatch.setattr(bohr_mod, "fourier_at_grid_points", recorded)
+        spec = spectrum(f, nu, eta)
+        assert ("direct" if direct else "fft") == side
+        assert np.array_equal(spec.interval_indices,
+                              full_grid_oracle(f, spec.threshold, spec.M))
+        assert spec.r > 0
+        M0 = default_grid(len(f.values)).M
+        if name == "odd-M":
+            assert spec.M == 84_375
+        if name == "odd-M0":
+            assert M0 % 2 == 1 and M0 < spec.M
+        if name == "cells-at-0-and-half":
+            assert spec.M % 2 == 0 and M0 % 2 == 0
+            assert {0, spec.M // 2} <= set(spec.interval_indices.tolist())
+
+    @given(st.integers(min_value=-60, max_value=60),
+           st.lists(st.floats(min_value=-3, max_value=3, allow_nan=False),
+                    min_size=1, max_size=80),
+           st.floats(min_value=1.05, max_value=4.0),
+           st.floats(min_value=0.05, max_value=0.95))
+    # fhat(x) = -4 sin^2(pi x): fhat and fhat' vanish at 0, and only the
+    # curvature term keeps the cell at 0, where |fhat| reaches 4 pi^2 h^2
+    @example(lo=-1, values=[1.0, -2.0, 1.0], ratio=4.0, q=1e-7)
+    @example(lo=-1, values=[1.0, -2.0, 1.0], ratio=4.0, q=2e-8)
+    @settings(max_examples=40, deadline=None)
+    def test_dropped_cells_hold_no_admitted_point(self, lo, values, ratio, q) -> None:
+        import densemodel.bohr as bohr_mod
+
+        f = DiscreteSignal(lo, np.array(values))
+        M = int(default_grid(len(values)).M * ratio)
+        rho = grid_fourier_rounding(f, FrequencyGrid(M))
+        threshold = q * float(np.sum(np.abs(f.values)))
+        with pytest.MonkeyPatch.context() as mp:
+            # every candidate set is returned, whatever the direct sums cost
+            mp.setattr(bohr_mod, "DIRECT_TERM_COST", 0)
+            kept = bohr_mod._candidates(f, M, threshold - 2 * rho)
+        assert np.all(np.diff(kept) > 0) and np.all((kept >= 0) & (2 * kept <= M))
+        dropped = np.setdiff1d(np.arange(M // 2 + 1), kept)
+        mods = np.abs(fourier_at_grid_points(f, FrequencyGrid(M), dropped))
+        assert np.all(mods < threshold - rho)

@@ -111,6 +111,12 @@ class TestCountRoutes:
         with pytest.raises(ValidationError):
             count_weighted(form, [DiscreteSignal.interval(5)] * 2)
 
+    def test_spectral_weight_count_must_match(self) -> None:
+        # zip would drop the third coefficient and return a count near 0
+        form = LinearForm((1, 1, -2))
+        with pytest.raises(ValidationError, match="one weight per coefficient"):
+            count_spectral(form, [DiscreteSignal.interval(5)] * 2)
+
 
 class TestTransferBound:
     def test_identical_signals_give_zero_gap(self) -> None:

@@ -257,6 +257,14 @@ class TestCli:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_project_far_generators_refused(self, capsys) -> None:
+        # |x|^2 = 0 is finite, but |a - x|^2 = 1e400 is not
+        code = main(["project", "--point", "0,0", "--gens", "1e200,0"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_nan_frequency_named(self, capsys) -> None:
         code = main(["bohr", "--freqs", "nan", "--eps", "0.1", "--N", "100"])
         assert code == EXIT_VALIDATION
@@ -324,6 +332,33 @@ class TestEachTransformOnce:
         _rebind_everywhere(monkeypatch, original, recorded)
         run_pipeline(PipelineConfig(N=500, variant=variant, eps=0.2, eta=0.2, seed=7))
         assert len(seen) == len(set(seen))
+
+    @pytest.mark.parametrize("variant", ["green", "hdr", "naslund"])
+    def test_every_transform_has_a_5_smooth_length(self, monkeypatch, variant) -> None:
+        # a length with a prime factor above 5 takes numpy's Bluestein path
+        lengths = []
+        rfft, irfft = np.fft.rfft, np.fft.irfft
+
+        def recorded_rfft(a, n=None, *args, **kwargs):
+            lengths.append(np.shape(a)[-1] if n is None else n)
+            return rfft(a, n, *args, **kwargs)
+
+        def recorded_irfft(a, n=None, *args, **kwargs):
+            lengths.append(2 * (np.shape(a)[-1] - 1) if n is None else n)
+            return irfft(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", recorded_rfft)
+        monkeypatch.setattr(np.fft, "irfft", recorded_irfft)
+        run_pipeline(PipelineConfig(N=500, variant=variant, eps=0.2, eta=0.2, seed=7))
+        assert lengths
+
+        def smooth(n):
+            for p in (2, 3, 5):
+                while n % p == 0:
+                    n //= p
+            return n == 1
+
+        assert all(smooth(n) for n in lengths), sorted(set(lengths))
 
     @pytest.mark.parametrize("variant", ["hdr", "naslund"])
     def test_majorant_autocorrelation_taken_once(self, monkeypatch, variant) -> None:

@@ -172,6 +172,20 @@ class TestCertifiedSup:
         assert default_grid(10).M >= 4096
         assert default_grid(10 ** 4).M >= 8 * 10 ** 4
 
+    @pytest.mark.parametrize("L, M", [(10, 4096), (2801, 22_500),
+                                      (25136, 202_500), (69996, 562_500)])
+    def test_default_grid_is_first_5_smooth_length(self, L, M) -> None:
+        def smooth(n):
+            for p in (2, 3, 5):
+                while n % p == 0:
+                    n //= p
+            return n == 1
+
+        need = max(4096, 8 * L)
+        assert default_grid(L).M == M
+        assert smooth(M) and M >= need
+        assert not any(smooth(m) for m in range(need, M))
+
 
 class TestNorms:
     def test_known_values(self) -> None:
