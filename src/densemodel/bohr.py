@@ -19,11 +19,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .errors import ResourceError, ValidationError
 from .majorants import Majorant
 from .signals import (
+    DIRECT_EVAL_BLOCK,
+    DIRECT_EVAL_MAX_M,
     MAX_CONV_LENGTH,
     DiscreteSignal,
     FrequencyGrid,
@@ -32,6 +33,7 @@ from .signals import (
     grid_fourier,
     grid_fourier_rounding,
     lp_norm,
+    next_fast_len,
 )
 
 M_CAP_DEFAULT = 1 << 22
@@ -103,8 +105,9 @@ def spectrum(f: DiscreteSignal, nu: Majorant, eta: float,
     capped = need > m_cap
     if capped and strict:
         raise ResourceError(f"spectrum grid M={need} exceeds cap {m_cap}")
-    # clamp before rounding up: next_fast_len overflows on a need past ssize_t
-    M = min(next_fast_len(min(need, m_cap), real=True), m_cap)
+    # M must not pass m_cap, which rounding up may; clamping need first keeps
+    # the 5-smooth search at m_cap's size however small eta is
+    M = min(next_fast_len(min(need, m_cap)), m_cap)
     threshold = eta * nu.l1_mass
     grid = FrequencyGrid(M)
     rho = grid_fourier_rounding(f, grid)
@@ -251,3 +254,25 @@ def bohr_measure(B: BohrSet) -> DiscreteSignal:
     vals = np.zeros(int(B.elements[-1]) - lo + 1)
     vals[B.elements - lo] = 1.0 / B.size
     return DiscreteSignal(lo, vals)
+
+
+def bohr_measure_fourier(B: BohrSet, grid: FrequencyGrid, j) -> np.ndarray:
+    """sigmahat(j/M) for sigma = `bohr_measure(B)`, by direct summation.
+
+    B = -B, so sigmahat is real and only B's positive half is summed:
+    sigmahat(j/M) = (1 + 2 sum_{b in B, b > 0} cos(2 pi ((b j) mod M) / M)) / |B|.
+    The phase is reduced exactly in integers and the terms are taken in
+    blocks of DIRECT_EVAL_BLOCK, as in `fourier_at_grid_points`.
+    """
+    M = grid.M
+    if M > DIRECT_EVAL_MAX_M:
+        # (j b) mod M is formed from a product below M^2 in int64
+        raise ResourceError(f"direct evaluation grid M={M} exceeds cap {DIRECT_EVAL_MAX_M}")
+    j = np.mod(np.asarray(j, dtype=np.int64), M)
+    pos = B.elements[B.elements > 0].astype(np.int64)
+    sums = np.zeros(len(j))
+    step = max(1, DIRECT_EVAL_BLOCK // max(1, len(pos)))
+    for start in range(0, len(j), step):
+        k = np.mod(np.outer(j[start:start + step], pos), M)
+        sums[start:start + step] = np.sum(np.cos((2.0 * np.pi / M) * k), axis=1)
+    return (1.0 + 2.0 * sums) / B.size

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import DenseModelError, ValidationError
 from .signals import DiscreteSignal
@@ -168,6 +167,8 @@ class SaddleResult:
 
 def _game_lp(G: np.ndarray):
     """Mixed maximin strategy and value for payoff G (row player maximizes)."""
+    from scipy.optimize import linprog  # only here: the rest of densemodel needs numpy alone
+
     m, k = G.shape
     # variables (lambda_1..lambda_m, v); maximize v
     c = np.zeros(m + 1)

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .errors import ResourceError, ValidationError
 from .signals import (
@@ -22,6 +21,7 @@ from .signals import (
     default_grid,
     fourier_sup_diff,
     lp_norm,
+    next_fast_len,
 )
 
 BRUTE_SIZE_CAP = 10 ** 8
@@ -77,7 +77,7 @@ def _diagonal(weights) -> float:
 def _wrap_modulus(form: LinearForm, weights) -> int:
     radius = max(max(abs(w.support_lo), abs(w.support_hi)) for w in weights)
     need = sum(abs(c) for c in form.coeffs) * radius + 1
-    W = next_fast_len(need + 1, real=True)
+    W = next_fast_len(need + 1)
     if W > WRAP_MODULUS_CAP:
         raise ResourceError(f"wrap modulus {W} exceeds cap {WRAP_MODULUS_CAP}")
     return W

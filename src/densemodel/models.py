@@ -13,17 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.optimize._highspy._core import (
-    HighsLp,
-    HighsModelStatus,
-    HighsStatus,
-    _Highs,
-    kHighsInf,
-)
 
-from .bohr import BohrSet, bohr_enumerate, bohr_measure, spectrum
+from .bohr import BohrSet, bohr_enumerate, bohr_measure, bohr_measure_fourier, spectrum
 from .errors import DenseModelError, ValidationError
 from .majorants import Majorant, _corr_value, _window_values, max_lag_correlation
 from .signals import (
@@ -34,11 +28,13 @@ from .signals import (
     certify_sup,
     convolve,
     default_grid,
-    fourier_at_grid_points,
     grid_fourier,
     lp_norm,
     subtract,
 )
+
+if TYPE_CHECKING:
+    from scipy.optimize._highspy._core import _Highs
 
 HB_GRID_M = 1024
 HB_DIRECTIONS = 16
@@ -136,8 +132,7 @@ def _convolution_model(f: DiscreteSignal, nu: Majorant, eps: float,
     diff = np.abs(fhat) * np.abs(1.0 - sighat ** power)
     off = np.abs(fhat) < spec.threshold
     off_max = float(np.max(diff[off])) if off.any() else 0.0
-    rep_vals = fourier_at_grid_points(sigma, FrequencyGrid(spec.M),
-                                      spec.interval_indices)
+    rep_vals = bohr_measure_fourier(B, FrequencyGrid(spec.M), spec.interval_indices)
     rep_max = float(np.max(np.abs(1.0 - rep_vals))) if spec.r else 0.0
     # convolution-theorem consistency: ghat = fhat * sigmahat^power on the grid
     product = fhat * sighat ** power
@@ -335,6 +330,8 @@ def linprog(highs: _Highs, A_ub: np.ndarray, b_ub: np.ndarray) -> np.ndarray:
     call per LP solve: benchmarks/tracing.py wraps `models.linprog` and counts
     the rows of `A_ub`.
     """
+    from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, kHighsInf
+
     k, n = A_ub.shape
     added = highs.addRows(k, np.full(k, -kHighsInf), b_ub, k * n,
                           np.arange(0, k * n, n, dtype=np.int32),
@@ -349,7 +346,14 @@ def linprog(highs: _Highs, A_ub: np.ndarray, b_ub: np.ndarray) -> np.ndarray:
 
 
 def _hb_highs(N: int) -> _Highs:
-    """The row-free LP: minimize t over 0 <= g <= 1_[N], t >= 0."""
+    """The row-free LP: minimize t over 0 <= g <= 1_[N], t >= 0.
+
+    scipy, whose HiGHS binding scipy's own `linprog` uses, is imported here
+    and in `linprog`, not with the module: the smoothing constructions need
+    numpy alone.
+    """
+    from scipy.optimize._highspy._core import HighsLp, _Highs, kHighsInf
+
     lp = HighsLp()
     lp.num_col_ = N + 1
     lp.num_row_ = 0

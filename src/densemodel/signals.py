@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .errors import ResourceError, ValidationError
 
@@ -134,6 +134,31 @@ class FrequencyGrid:
         return 0.5 / self.M
 
 
+def next_fast_len(n: int) -> int:
+    """The least 5-smooth number 2^a 3^b 5^c >= n, a fast length for a real FFT.
+
+    Each odd part 3^b 5^c below the best length so far is scaled by the
+    least power of two that lifts it to n or past; the power of two at or
+    above n starts the search.  Exact in integers for every n >= 1.
+    `scipy.fft.next_fast_len(n, real=True)` gives the same lengths today,
+    but documents that its result may change, and the grid sizes and wrap
+    moduli that reports print must not.
+    """
+    n = operator.index(n)
+    if n < 1:
+        raise ValidationError(f"next_fast_len needs n >= 1, got {n}")
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # ceil(n / p35) <= 2^k exactly when (n - 1) // p35 < 2^k
+            best = min(best, p35 << ((n - 1) // p35).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def default_grid(support_length: int) -> FrequencyGrid:
     """The check grid of a signal on `support_length` points.
 
@@ -143,7 +168,7 @@ def default_grid(support_length: int) -> FrequencyGrid:
     support_length, and no transform takes numpy's slow path for a length
     with a large prime factor.
     """
-    return FrequencyGrid(next_fast_len(max(4096, 8 * max(1, support_length)), real=True))
+    return FrequencyGrid(next_fast_len(max(4096, 8 * max(1, support_length))))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from densemodel.bohr import (
     bohr_enumerate,
     bohr_measure,
+    bohr_measure_fourier,
     circle_distance,
     spectrum,
 )
@@ -149,6 +150,28 @@ class TestBohrMeasure:
         sigma = bohr_measure(B)
         for a in freqs:
             assert abs(1 - fourier_eval(sigma, a)) <= 2 * math.pi * eps + 1e-9
+
+    @pytest.mark.parametrize("freqs, eps, N", [([0.2], 0.15, 300),
+                                               ([0.123, 0.456], 0.1, 4000),
+                                               ([0.3], 0.01, 50),  # B = {0}
+                                               ([0.0], 0.5, 1001)])
+    def test_real_cosine_sum_matches_complex_direct_sum(self, freqs, eps, N) -> None:
+        B = bohr_enumerate(np.array(freqs), eps, N)
+        grid = FrequencyGrid(4096)
+        j = np.array([0, 1, 7, 500, 2048, 4095, 10_000])
+        got = bohr_measure_fourier(B, grid, j)
+        want = fourier_at_grid_points(bohr_measure(B), grid, j)
+        assert got.dtype == np.float64
+        np.testing.assert_allclose(got, want.real, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(want.imag, 0.0, atol=1e-14)
+        np.testing.assert_allclose(got, grid_fourier(bohr_measure(B), grid)[j % 4096].real,
+                                   rtol=0, atol=1e-13)
+        assert got[0] == 1.0
+
+    def test_direct_evaluation_cap(self) -> None:
+        B = bohr_enumerate(np.array([0.2]), 0.15, 300)
+        with pytest.raises(ResourceError, match="exceeds cap"):
+            bohr_measure_fourier(B, FrequencyGrid((1 << 31) + 1), [1])
 
 
 class TestSpectrumRounding:

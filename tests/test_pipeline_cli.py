@@ -439,6 +439,31 @@ class TestOversizedWindows:
         assert "majorant window [1, 1000000000] exceeds cap" in done.stderr
 
 
+class TestImportFootprint:
+    def test_smoothing_runs_load_no_scipy(self) -> None:
+        # a fresh interpreter: this process has imported scipy already
+        code = (
+            "import sys\n"
+            "import densemodel, densemodel.cli\n"
+            "from densemodel.pipeline import PipelineConfig, run_pipeline\n"
+            "def scipy_modules():\n"
+            "    return sorted(k for k in sys.modules if k.startswith('scipy'))\n"
+            "for v in ('green', 'hdr', 'naslund'):\n"
+            "    run_pipeline(PipelineConfig(N=300, variant=v, seed=1))\n"
+            "print(scipy_modules())\n"
+            "run_pipeline(PipelineConfig(N=100, variant='hahn_banach', seed=1))\n"
+            "print(len(scipy_modules()))\n")
+        src = str(Path(densemodel.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", code],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        smoothing, after_hb = done.stdout.splitlines()
+        assert smoothing == "[]"
+        # the Hahn-Banach LP does load scipy, so the probe can see it
+        assert int(after_hb) > 0
+
+
 class TestDegenerateFlags:
     def test_trivial_bohr_set_flagged(self) -> None:
         # the default config's Bohr set is {0}, so g = f and the certificate is 0

@@ -22,6 +22,7 @@ from densemodel.signals import (
     fourier_sup_diff,
     grid_fourier,
     lp_norm,
+    next_fast_len,
     read_csv,
     subtract,
     write_csv,
@@ -185,6 +186,43 @@ class TestCertifiedSup:
         assert default_grid(L).M == M
         assert smooth(M) and M >= need
         assert not any(smooth(m) for m in range(need, M))
+
+
+class TestNextFastLen:
+    """scipy's `next_fast_len(n, real=True)`, the least 5-smooth number >= n, as oracle."""
+
+    @staticmethod
+    def mismatches(ns) -> list:
+        from scipy.fft import next_fast_len as oracle
+
+        return [(n, next_fast_len(n), oracle(n, real=True))
+                for n in ns if next_fast_len(n) != oracle(n, real=True)][:5]
+
+    def test_every_n_up_to_2_pow_20(self) -> None:
+        assert self.mismatches(range(1, (1 << 20) + 1)) == []
+
+    def test_each_5_smooth_number_below_2_pow_32_and_its_neighbours(self) -> None:
+        top = 1 << 32
+        smooth = [p2 * p3 * p5 for p2 in (2 ** a for a in range(32))
+                  for p3 in (3 ** b for b in range(21))
+                  for p5 in (5 ** c for c in range(14)) if p2 * p3 * p5 < top]
+        assert len(smooth) > 1000
+        assert all(next_fast_len(s) == s for s in smooth)
+        assert self.mismatches(n for s in smooth for n in (s - 1, s + 1) if n >= 1) == []
+
+    def test_seeded_sample_up_to_2_pow_40(self) -> None:
+        rng = np.random.default_rng(20)
+        ns = rng.integers(1, 1 << 40, size=10_000, endpoint=True)
+        assert self.mismatches(int(n) for n in ns) == []
+
+    def test_accepts_numpy_integers_and_returns_int(self) -> None:
+        got = next_fast_len(np.int64(2801 * 8))
+        assert got == 22_500 and type(got) is int
+
+    @pytest.mark.parametrize("n", [0, -1, -(1 << 70)])
+    def test_below_one_refused(self, n) -> None:
+        with pytest.raises(ValidationError, match="n >= 1"):
+            next_fast_len(n)
 
 
 class TestNorms:
