@@ -215,7 +215,7 @@ class BohrSet:
 
 
 def bohr_enumerate(freqs, eps: float, N: int) -> BohrSet:
-    """Direct scan of [-floor(eps N), floor(eps N)] against every frequency.
+    """Direct scan of [0, floor(eps N)] against every frequency, mirrored to B = -B.
 
     The recorded pigeonhole floor eps*N/2 * ceil(2/eps)^(-r) is guaranteed for
     the half-width set B(S, eps/2), hence for this superset as well.  A scan
@@ -232,17 +232,19 @@ def bohr_enumerate(freqs, eps: float, N: int) -> BohrSet:
     if 2 * nmax + 1 > MAX_CONV_LENGTH:
         raise ResourceError(
             f"Bohr scan window [-{nmax}, {nmax}] exceeds cap {MAX_CONV_LENGTH}")
-    cands = np.arange(-nmax, nmax + 1)
+    # (-n) alpha = -(n alpha) in floats and round half to even is odd, so
+    # ||(-n) alpha|| = ||n alpha|| exactly: scan n >= 0 and mirror
+    cands = np.arange(nmax + 1)
     bound = eps + MEMBERSHIP_TOL
     for start in range(0, len(freqs), FREQ_CHUNK):
-        if len(cands) == 0:
-            break
         chunk = freqs[start:start + FREQ_CHUNK]
         dist = circle_distance(np.outer(cands, chunk))
         cands = cands[np.all(dist <= bound, axis=1)]
     r = len(freqs)
     floor_val = 0.5 * eps * N * math.ceil(2.0 / eps) ** (-r)
-    return BohrSet(frequencies=freqs, eps=eps, N=N, elements=cands,
+    # cands[0] = 0, which every frequency keeps
+    return BohrSet(frequencies=freqs, eps=eps, N=N,
+                   elements=np.concatenate((-cands[:0:-1], cands)),
                    pigeonhole_floor=floor_val)
 
 

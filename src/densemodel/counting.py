@@ -18,6 +18,7 @@ import numpy as np
 from .errors import ResourceError, ValidationError
 from .signals import (
     DiscreteSignal,
+    FrequencyGrid,
     default_grid,
     fourier_sup_diff,
     lp_norm,
@@ -85,10 +86,7 @@ def _wrap_modulus(form: LinearForm, weights) -> int:
 
 def _dilated_cyclic(w: DiscreteSignal, c: int, W: int) -> np.ndarray:
     """F(m) = w(m/c) when c divides m, folded onto Z/W."""
-    buf = np.zeros(W)
-    idx = np.mod(w.indices * c, W)
-    np.add.at(buf, idx, w.values)
-    return buf
+    return np.bincount(np.mod(w.indices * c, W), weights=w.values, minlength=W)
 
 
 def count_weighted(form: LinearForm, weights) -> CountReport:
@@ -217,20 +215,30 @@ class TransferErrorReport:
                 "ok": self.ok}
 
 
+def transfer_grid(f: DiscreteSignal, g: DiscreteSignal) -> FrequencyGrid:
+    """The check grid of f - g: `default_grid` of the window holding both."""
+    return default_grid(max(f.support_hi, g.support_hi)
+                        - min(f.support_lo, g.support_lo) + 1)
+
+
 def transfer_error_bound(form: LinearForm, f: DiscreteSignal, g: DiscreteSignal,
                          count_f: float | None = None,
-                         count_g: float | None = None) -> TransferErrorReport:
+                         count_g: float | None = None,
+                         sup_err: float | None = None) -> TransferErrorReport:
     """Delta = sup_err * s * max(||.||_2)^2 * max(||.||_1)^(s-3).
 
     Telescoping over positions: one factor takes the certified sup error, two
     take Cauchy-Schwarz in L^2 (dilation by a nonzero integer preserves the
-    circle L^2 norm), the rest are bounded in sup by the L^1 norm.  The counts
-    on both sides are computed, unless the caller passes the totals of
-    `count_weighted(form, [f] * s)` and `[g] * s` it already holds, and the
-    inequality is checked on the instance.
+    circle L^2 norm), the rest are bounded in sup by the L^1 norm.  sup_err
+    is certified by `fourier_sup_diff` on `transfer_grid(f, g)`, unless the
+    caller passes a certified bound on sup |fhat - ghat| over the circle it
+    already holds, such as the `certified_upper` of a model's Fourier error.
+    The counts on both sides are computed, unless the caller passes the
+    totals of `count_weighted(form, [f] * s)` and `[g] * s` it already holds,
+    and the inequality is checked on the instance.
     """
-    span = max(f.support_hi, g.support_hi) - min(f.support_lo, g.support_lo) + 1
-    sup_err = fourier_sup_diff(f, g, default_grid(span)).certified_upper
+    if sup_err is None:
+        sup_err = fourier_sup_diff(f, g, transfer_grid(f, g)).certified_upper
     m2 = max(lp_norm(f, 2), lp_norm(g, 2))
     m1 = max(lp_norm(f, 1), lp_norm(g, 1))
     s = form.s

@@ -8,7 +8,6 @@ numbers as inputs instead of trusting asymptotic constants.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -21,6 +20,7 @@ from .signals import (
     FrequencyGrid,
     convolve,
     default_grid,
+    exact_sum,
     fft_rounding_bound,
     fourier_sup_diff,
     lp_norm,
@@ -98,7 +98,7 @@ class Majorant:
         property at even p), and int |phihat|^4 = ||phi * phi||_2^2.
         """
         a = self.autocorrelation
-        return math.fsum(a * a) * self.N / self.l1_mass ** 4
+        return exact_sum(a * a) * self.N / self.l1_mass ** 4
 
     def theta_decay(self, grid: FrequencyGrid) -> float:
         """Certified sup over the circle of |nuhat - 1_[N]hat| / N, from `grid`."""
@@ -243,7 +243,8 @@ def max_lag_correlation(nu: Majorant, lags) -> float:
     v = _window_values(nu)
     N = len(v)
     screened = nu.autocorrelation[N - 1 + lags]
-    rho = fft_rounding_bound(2 * N - 1, float(np.dot(v, v)))
+    # np.sum, not np.dot: at large N a BLAS call starts threads that then spin
+    rho = fft_rounding_bound(2 * N - 1, float(np.sum(v * v)))
     best = 0.0
     for m in lags[screened >= np.max(screened) - 2.0 * rho]:
         best = max(best, _corr_value(v, (0, int(m))))

@@ -124,6 +124,26 @@ class TestBohrEnumerate:
         with pytest.raises(ResourceError, match="exceeds cap 1001"):
             bohr_enumerate(np.zeros(0), 0.5, 2000)
 
+    @pytest.mark.parametrize("eps, N", [(0.25, 400), (0.13, 401), (0.5, 64)])
+    @pytest.mark.parametrize("freqs", [
+        [],
+        [0.3],
+        [0.5],  # n alpha lands on k + 1/2 at every odd n
+        [0.25, 0.75, 0.125, 1 / 3],
+        list(np.random.default_rng(5).random(40)),
+        list(np.random.default_rng(6).random(700) * 0.01),  # more than one chunk
+    ], ids=["r0", "r1", "half", "ties", "r40", "r700"])
+    def test_half_scan_matches_full_window(self, freqs, eps, N) -> None:
+        from densemodel.bohr import MEMBERSHIP_TOL
+
+        nmax = math.floor(eps * N)
+        n = np.arange(-nmax, nmax + 1)
+        x = np.outer(n, np.asarray(freqs, dtype=np.float64))
+        keep = np.all(np.abs(x - np.round(x)) <= eps + MEMBERSHIP_TOL, axis=1)
+        B = bohr_enumerate(np.array(freqs), eps, N)
+        assert B.elements.dtype == n.dtype
+        assert np.array_equal(B.elements, n[keep])
+
     def test_many_frequencies_prunes(self) -> None:
         rng = np.random.default_rng(0)
         freqs = rng.random(2000)

@@ -248,3 +248,22 @@ class TestWrapModulus:
         assert not any(is_5_smooth(m) for m in range(reach + 2, W))
         assert W & (W - 1) != 0  # not a power of two on these instances
         assert rep.total == pytest.approx(count_integer(form, w), abs=1e-6)
+
+
+class TestDilatedFold:
+    def test_fold_matches_unbuffered_add_byte_for_byte(self) -> None:
+        # colliding indices add in window order, as np.add.at does; -0.0
+        # entries fold onto a +0.0 bin
+        from densemodel.counting import _dilated_cyclic
+
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            size = int(rng.integers(1, 60))
+            vals = rng.standard_normal(size) * np.exp2(rng.integers(-40, 40, size))
+            vals[rng.random(size) < 0.2] = -0.0
+            w = DiscreteSignal(int(rng.integers(-50, 50)), vals)
+            c = int(rng.choice([-3, -2, -1, 1, 2, 5]))
+            W = int(rng.integers(1, 80))
+            ref = np.zeros(W)
+            np.add.at(ref, np.mod(w.indices * c, W), w.values)
+            assert _dilated_cyclic(w, c, W).tobytes() == ref.tobytes()

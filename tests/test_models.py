@@ -121,6 +121,31 @@ class TestHdr:
             assert d <= rep.fourier_err.certified_upper + 1e-9
 
 
+class TestHalfSpectrumChecks:
+    @pytest.mark.parametrize("variant, power", [("green", 2), ("hdr", 1), ("naslund", 1)])
+    def test_checks_equal_a_full_grid_recomputation(self, sparse_instance, variant,
+                                                    power) -> None:
+        from densemodel.bohr import bohr_enumerate, bohr_measure, spectrum
+
+        f, nu = sparse_instance
+        if variant == "naslund":
+            rep = naslund_model(f, nu, k=3, p=4.0)
+        else:
+            rep = (green_model(f, nu, eps=0.2, eta=0.2) if variant == "green"
+                   else hdr_model(f, nu, eps=0.2))
+        eps, eta = rep.params["eps"], rep.params["eta"]
+        spec = spectrum(f, nu, eta)
+        sigma = bohr_measure(bohr_enumerate(spec.representatives, eps, nu.N))
+        grid = FrequencyGrid(rep.params["grid_M"])
+        fh = grid_fourier(f, grid)
+        sh = grid_fourier(sigma, grid)
+        off = np.abs(fh) < spec.threshold
+        full = np.abs(fh) * np.abs(1.0 - sh ** power)
+        assert off.any() and not off.all()
+        assert rep.checks["off_spectrum_max"] == float(np.max(full[off]))
+        assert rep.fourier_err.grid_max == float(np.max(np.abs(fh - grid_fourier(rep.g, grid))))
+
+
 class TestNaslund:
     def test_width_from_decay_level(self, sparse_instance) -> None:
         f, nu = sparse_instance

@@ -391,6 +391,57 @@ class TestEachTransformOnce:
         assert total == pytest.approx(count_brute(form, [w] * 3).total, rel=1e-12)
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+class TestTransferReadsModelCertificate:
+    @pytest.mark.parametrize("path", [p for p in sorted(GOLDEN.glob("pipeline_*.json"))
+                                      if "hahn_banach" not in p.name],
+                             ids=lambda p: p.stem)
+    def test_golden_smoothing_transfer_is_model_certificate(self, path) -> None:
+        d = json.loads(path.read_text())
+        assert d["transfer"]["sup_err"] == d["model"]["fourier_err"]["certified_upper"]
+
+    @pytest.mark.parametrize("majorant", ["uniform", "sparse", "squares", "primes"])
+    @pytest.mark.parametrize("variant", ["green", "hdr", "naslund"])
+    def test_smoothing_transfer_is_model_certificate(self, variant, majorant) -> None:
+        d = run_pipeline(PipelineConfig(N=300, majorant=majorant, variant=variant,
+                                        eps=0.2, eta=0.2, seed=2)).data
+        assert d["transfer"]["sup_err"] == d["model"]["fourier_err"]["certified_upper"]
+
+    def test_hahn_banach_transfer_keeps_its_grid(self, monkeypatch) -> None:
+        import densemodel.pipeline as pipeline_mod
+        from densemodel.signals import default_grid, fourier_sup_diff
+
+        seen = []
+        original = pipeline_mod.hahn_banach_model
+
+        def captured(f, nu, **kwargs):
+            rep = original(f, nu, **kwargs)
+            seen.append((f, rep))
+            return rep
+
+        monkeypatch.setattr(pipeline_mod, "hahn_banach_model", captured)
+        d = run_pipeline(PipelineConfig(N=150, variant="hahn_banach", seed=7)).data
+        (f, rep), = seen
+        expected = fourier_sup_diff(f, rep.g, default_grid(150)).certified_upper
+        assert d["transfer"]["sup_err"] == expected
+        # the LP's 1024-point certificate is looser here
+        assert expected < rep.fourier_err.certified_upper
+
+
+class TestNoBlasCall:
+    def test_smoothing_runs_at_large_n_call_no_dot(self, monkeypatch) -> None:
+        # at N = 20000 an np.dot of length N wakes BLAS threads that then spin
+        def refused(*args, **kwargs):
+            raise AssertionError("np.dot called")
+
+        monkeypatch.setattr(np, "dot", refused)
+        for variant in ("green", "hdr", "naslund"):
+            assert run_pipeline(PipelineConfig(N=20000, variant=variant, eps=0.1,
+                                               eta=0.1)).ok
+
+
 class TestOversizedWindows:
     """A window past the convolution cap is refused before it is allocated."""
 

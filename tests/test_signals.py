@@ -17,6 +17,7 @@ from densemodel.signals import (
     add,
     convolve,
     default_grid,
+    exact_sum,
     fourier_at_grid_points,
     fourier_eval,
     fourier_sup_diff,
@@ -235,6 +236,63 @@ class TestNorms:
     def test_rejects_p_below_one(self) -> None:
         with pytest.raises(ValidationError):
             lp_norm(DiscreteSignal.interval(3), 0.5)
+
+
+def _same_double(a: float, b: float) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def _exact_sum_families():
+    rng = np.random.default_rng(20)
+    for n in (1, 2, 3, 17, 1000, 1 << 20):
+        yield f"normal n={n}", rng.standard_normal(n)
+    for n in (5, 1000, 40_000):
+        # exponents over the whole double range, subnormals included
+        yield f"wide n={n}", rng.standard_normal(n) * np.exp2(rng.integers(-1074, 960, n))
+        yield f"subnormal n={n}", (rng.integers(-2 ** 52, 2 ** 52, n) * 2.0 ** -1074)
+        a = rng.standard_normal(n) * np.exp2(rng.integers(-80, 80, n))
+        # cancellation down to a tiny remainder, and to an exact zero
+        yield f"cancel n={n}", np.concatenate((a, -a[::-1], [3e-300]))
+        yield f"zero n={n}", rng.permutation(np.concatenate((a, -a)))
+    # halfway cases: the exact sum lies midway between two doubles
+    yield "tie to even", np.array([1.0, 2.0 ** -53])
+    yield "tie up", np.array([1.0 + 2.0 ** -52, 2.0 ** -53])
+    yield "past tie", np.array([1.0, 2.0 ** -53, 2.0 ** -105])
+    yield "subnormal result", np.array([2.0 ** -1022, 2.0 ** -1074 - 2.0 ** -1022])
+    yield "rounds past a subnormal", np.array([1.0, 2.0 ** -53 - 1.0, 2.0 ** -1074])
+    # one exponent bin cancels to a high half of 1 and a nonzero low half
+    yield "binade cancel", np.array([1.0 + (2.0 ** 26 + 5) * 2.0 ** -52, -1.0])
+    yield "negative zeros", np.array([-0.0, -0.0, -0.0])
+    yield "mixed zeros", np.array([-0.0, 0.0])
+    yield "one negative zero", np.array([-0.0])
+    yield "empty", np.zeros(0)
+    yield "near overflow", np.array([8e307, 8e307, -1e308])
+
+
+class TestExactSum:
+    @pytest.mark.parametrize("name, x", list(_exact_sum_families()),
+                             ids=[name for name, _ in _exact_sum_families()])
+    def test_equals_fsum_bit_for_bit(self, name, x) -> None:
+        assert _same_double(exact_sum(x), math.fsum(x)), name
+
+    @pytest.mark.parametrize("x", [[1.0, math.inf], [-math.inf, 2.0], [1.0, math.nan],
+                                   [1e308, 1e308], [1e308, 1e308, -1e308],
+                                   [math.inf, -math.inf]])
+    def test_non_finite_and_overflow_follow_fsum(self, x) -> None:
+        try:
+            expected = math.fsum(x)
+        except (ValueError, OverflowError) as e:
+            with pytest.raises(type(e)):
+                exact_sum(np.array(x))
+        else:
+            got = exact_sum(np.array(x))
+            assert _same_double(got, expected) or (math.isnan(got) and math.isnan(expected))
+
+    def test_long_norms_are_correctly_rounded(self) -> None:
+        rng = np.random.default_rng(3)
+        f = DiscreteSignal(-7, rng.standard_normal(30_000) * np.exp2(rng.integers(-30, 30, 30_000)))
+        assert lp_norm(f, 1) == math.fsum(np.abs(f.values))
+        assert lp_norm(f, 2) == math.sqrt(math.fsum(f.values * f.values))
 
 
 class TestCsvRoundTrip:
