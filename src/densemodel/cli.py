@@ -70,8 +70,7 @@ def cmd_majorant(args) -> None:
         "metadata": dict(nu.metadata),
     }
     if args.diagnose:
-        data["diagnostics"] = majorants.diagnose(
-            nu, k_max=args.k_max, seed=args.seed).as_dict()
+        data["diagnostics"] = majorants.diagnose(nu).as_dict()
     _emit(data, args.strict)
 
 
@@ -195,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("majorant", help="build and diagnose a majorant")
     _add_majorant_opts(p)
     p.add_argument("--diagnose", action="store_true")
-    p.add_argument("--k-max", type=int, default=2)
     p.add_argument("--out", default="", help="write the signal as CSV")
     _add_common(p, seed=True)
     p.set_defaults(fn=cmd_majorant)

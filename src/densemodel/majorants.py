@@ -1,9 +1,9 @@
 """Desk-scale majorants and measurement of the hypotheses the theorems consume.
 
 A majorant is a nonnegative weight on [1, N] with total mass comparable to N.
-`diagnose` measures Fourier decay, L^2/L^inf levels, correlation constants and
-the p = 4 restriction moment; the dense-model constructions take these
-numbers as inputs instead of trusting asymptotic constants.
+`diagnose` measures Fourier decay, L^2/L^inf levels, the pair correlation and
+the p = 4 restriction moment, from nu alone; the dense-model constructions
+take these numbers as inputs instead of trusting asymptotic constants.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .signals import (
 )
 
 MASS_WINDOW = (0.5, 2.0)  # allowed l1_mass / N range
-SHIFT_SAMPLES = 2000  # sampled shift tuples per correlation order
 
 
 @dataclass(frozen=True)
@@ -110,16 +109,15 @@ class Majorant:
 class MajorantDiagnostics:
     """Measured hypothesis levels for one majorant.
 
-    corr[l] is a maximum over tested shift tuples, exact only when
-    corr_exhaustive[l] is True.  restriction_estimate[4.0] is
-    `Majorant.restriction_p4`, the sup over |phi| <= nu up to float rounding.
+    corr[2] is `Majorant.corr2`, the pair correlation over every lag, and
+    restriction_estimate[4.0] is `Majorant.restriction_p4`, the sup over
+    |phi| <= nu up to float rounding.
     """
 
     theta_decay: float
     theta_L2: float
     theta_Linf: float
     corr: dict
-    corr_exhaustive: dict
     restriction_estimate: dict
     provenance: dict
 
@@ -129,7 +127,6 @@ class MajorantDiagnostics:
             "theta_L2": self.theta_L2,
             "theta_Linf": self.theta_Linf,
             "corr": {str(k): v for k, v in sorted(self.corr.items())},
-            "corr_exhaustive": {str(k): v for k, v in sorted(self.corr_exhaustive.items())},
             "restriction_estimate": {str(k): v for k, v in
                                      sorted(self.restriction_estimate.items())},
             "provenance": self.provenance,
@@ -251,57 +248,14 @@ def max_lag_correlation(nu: Majorant, lags) -> float:
     return best
 
 
-def _shift_tuples(l: int, N: int, shift_samples: int, rng) -> tuple[list, bool]:
-    """Canonical tuples (0 < m_2 < ... < m_l <= N-1), exhaustive when feasible."""
-    from math import comb
-
-    total = comb(N - 1, l - 1)
-    if total <= shift_samples:
-        from itertools import combinations
-
-        return [(0,) + rest for rest in combinations(range(1, N), l - 1)], True
-    tuples = set()
-    while len(tuples) < shift_samples:
-        rest = rng.choice(N - 1, size=l - 1, replace=False) + 1
-        tuples.add((0,) + tuple(sorted(int(m) for m in rest)))
-    return sorted(tuples), False
-
-
-def max_correlation(nu: Majorant, l: int, shift_samples: int = SHIFT_SAMPLES,
-                    seed: int = 0) -> tuple[float, bool]:
-    """Max over tested distinct l-tuples of sum_n nu(n+m_1)...nu(n+m_l), over N."""
-    if l < 1:
-        raise ValidationError("correlation order must be >= 1")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
-    if l == 1:
-        return nu.l1_mass / nu.N, True
-    rng = np.random.default_rng(seed)
-    tuples, exhaustive = _shift_tuples(l, nu.N, shift_samples, rng)
-    if l == 2:
-        return max_lag_correlation(nu, [t[1] for t in tuples]) / nu.N, exhaustive
-    v = _window_values(nu)
-    best = 0.0
-    for t in tuples:
-        best = max(best, _corr_value(v, t))
-    return best / nu.N, exhaustive
-
-
-def diagnose(nu: Majorant, k_max: int = 2, seed: int = 0) -> MajorantDiagnostics:
+def diagnose(nu: Majorant) -> MajorantDiagnostics:
     """Measure every hypothesis level; the restriction moment is taken at p = 4."""
-    if k_max < 2:
-        raise ValidationError("diagnose needs k_max >= 2")
     grid = default_grid(nu.N)
-    corr = {2: nu.corr2}  # over every lag
-    corr_exhaustive = {2: True}
-    for l in range(3, k_max + 1):
-        corr[l], corr_exhaustive[l] = max_correlation(nu, l, SHIFT_SAMPLES, seed)
     return MajorantDiagnostics(
         theta_decay=nu.theta_decay(grid),
         theta_L2=nu.theta_L2,
         theta_Linf=nu.theta_Linf,
-        corr=corr,
-        corr_exhaustive=corr_exhaustive,
+        corr={2: nu.corr2},  # over every lag
         restriction_estimate={4.0: nu.restriction_p4},
-        provenance={"grid_M": grid.M, "shift_samples": SHIFT_SAMPLES, "seed": seed},
+        provenance={"grid_M": grid.M},
     )

@@ -9,7 +9,8 @@ the files from the current sources:
 
 To list, before writing, each JSON value the current sources would move
 (`file: path: old -> new`, with the relative change of each moved float and
-the largest of them), then one line per JSON path with list indices collapsed
+the largest of them; lists are compared index by index, a missing entry
+reading "<absent>"), then one line per JSON path with list indices collapsed
 (`path[]`), giving the number of files it moved in and its largest relative
 change; exits 1 if any value moves:
 
@@ -23,6 +24,7 @@ import io
 import json
 import re
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -97,12 +99,21 @@ def json_diff(old, new, path: str = "") -> list[tuple]:
         return [move for key in {**old, **new}
                 for move in json_diff(old.get(key, _ABSENT), new.get(key, _ABSENT),
                                       f"{path}.{key}" if path else key)]
-    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
-        return [move for i, (a, b) in enumerate(zip(old, new))
+    if isinstance(old, list) and isinstance(new, list):
+        # the shorter list reads <absent> past its end, so an entry added or
+        # removed at the tail is one path, not both whole lists
+        return [move for i, (a, b) in enumerate(zip_longest(old, new, fillvalue=_ABSENT))
                 for move in json_diff(a, b, f"{path}[{i}]")]
     if old == new and type(old) is type(new):
         return []
     return [(path, old, new)]
+
+
+def test_json_diff_pads_a_shorter_list() -> None:
+    old = {"claims": [{"name": "a"}, {"name": "b", "value": 1.0}]}
+    assert json_diff(old, {"claims": [{"name": "a"}]}) == [
+        ("claims[1]", {"name": "b", "value": 1.0}, _ABSENT)]
+    assert json_diff({"xs": [1]}, {"xs": [1, 2]}) == [("xs[1]", _ABSENT, 2)]
 
 
 def relative_change(old, new) -> float | None:

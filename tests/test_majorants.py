@@ -18,10 +18,9 @@ from densemodel.majorants import (
     make_squares,
     make_uniform,
     make_weighted_primes,
-    max_correlation,
     max_lag_correlation,
 )
-from densemodel.signals import DiscreteSignal, FrequencyGrid, grid_fourier
+from densemodel.signals import DiscreteSignal, FrequencyGrid, default_grid, grid_fourier
 
 
 def brute_max_correlation(nu: Majorant, l: int) -> float:
@@ -91,25 +90,15 @@ class TestConstructors:
 
 
 class TestCorrelations:
-    @pytest.mark.parametrize("l", [2, 3])
-    def test_matches_brute_oracle(self, l) -> None:
+    def test_matches_brute_oracle(self) -> None:
         nu = make_random_sparse(30, 0.6, seed=3)
-        val, exhaustive = max_correlation(nu, l, shift_samples=10 ** 6)
-        assert exhaustive
-        assert val == pytest.approx(brute_max_correlation(nu, l), rel=1e-12)
+        assert nu.corr2 == pytest.approx(brute_max_correlation(nu, 2), rel=1e-12)
 
     def test_uniform_pair_correlation(self) -> None:
         # shifts (0, m): sum over the overlap has N - m terms, max at m = 1
         nu = make_uniform(20)
-        val, exhaustive = max_correlation(nu, 2, shift_samples=100)
-        assert exhaustive and val == pytest.approx(19 / 20)
-
-    def test_sampled_mode_lower_bounds_exhaustive(self) -> None:
-        nu = make_random_sparse(60, 0.7, seed=1)
-        full, ex_full = max_correlation(nu, 3, shift_samples=10 ** 6, seed=0)
-        part, ex_part = max_correlation(nu, 3, shift_samples=50, seed=0)
-        assert ex_full and not ex_part
-        assert part <= full + 1e-12
+        assert nu.corr2 == pytest.approx(19 / 20)
+        assert nu.corr2 == pytest.approx(brute_max_correlation(nu, 2), rel=1e-12)
 
 
 class TestDiagnose:
@@ -122,13 +111,13 @@ class TestDiagnose:
 
     def test_sparse_levels_and_provenance(self) -> None:
         nu = make_random_sparse(400, 2 / 3, seed=9)
-        d = diagnose(nu, k_max=3, seed=9)
+        d = diagnose(nu)
         size = nu.metadata["support_size"]
         assert d.theta_Linf == pytest.approx(1 / size)
         # sum nu^2 = |S| (N/|S|)^2 = N^2/|S|
         assert d.theta_L2 == pytest.approx(1 / size)
-        assert set(d.corr) == {2, 3}
-        assert d.provenance["seed"] == 9
+        assert set(d.corr) == {2}
+        assert d.provenance == {"grid_M": default_grid(400).M}
 
     def test_restriction_estimate_is_lower_bound_at_nu(self) -> None:
         # the moment of nuhat itself: on a grid of M >= 2 span - 1 points,
@@ -148,10 +137,9 @@ class TestDiagnose:
     def test_correlation_scale_invariance(self, N, seed) -> None:
         # corr is a max of sums of products; doubling nu scales corr[2] by 4
         nu = make_random_sparse(N, 0.8, seed)
-        val, _ = max_correlation(nu, 2, shift_samples=10 ** 6)
         doubled = Majorant(nu.signal.scaled(2.0), 2 * nu.N, dict(nu.metadata))
-        val2, _ = max_correlation(doubled, 2, shift_samples=10 ** 6)
-        assert val2 == pytest.approx(4 * val * N / (2 * N), rel=1e-9)
+        assert doubled.corr2 == pytest.approx(4 * nu.corr2 * N / (2 * N), rel=1e-9)
+        assert nu.corr2 == pytest.approx(brute_max_correlation(nu, 2), rel=1e-12)
 
 
 class TestMaxLagCorrelation:
@@ -181,23 +169,10 @@ class TestMaxLagCorrelation:
             part = np.random.default_rng(seed).choice(lags, size=N // 3, replace=False)
             assert max_lag_correlation(nu, part) == self.direct(nu, part)
 
-    @pytest.mark.parametrize("N", [1000, 20000])
-    def test_sampled_path_keeps_draws_and_value(self, N) -> None:
-        nu = make_random_sparse(N, 2 / 3, seed=5)
-        val, exhaustive = max_correlation(nu, 2, shift_samples=300, seed=4)
-        assert not exhaustive
-        # the draws as first specified: one shift from arange(1, N) at a time
-        rng = np.random.default_rng(4)
-        lags = set()
-        while len(lags) < 300:
-            lags.add(int(rng.choice(np.arange(1, N), size=1, replace=False)[0]))
-        assert val == self.direct(nu, sorted(lags)) / N
-
     def test_empty_lag_set(self) -> None:
         nu = make_random_sparse(100, 2 / 3, seed=0)
         assert max_lag_correlation(nu, []) == 0.0
         assert max_lag_correlation(nu, np.zeros(0, dtype=np.int64)) == 0.0
-        assert max_correlation(make_uniform(1), 2) == (0.0, True)
 
 
 class TestDiagnoseComputes:
@@ -220,17 +195,15 @@ class TestDiagnoseComputes:
         nu = make_random_sparse(N, 2 / 3, seed=0)
         d = diagnose(nu)
         assert d.corr[2] == max_lag_correlation(nu, np.arange(1, N)) / N
-        assert d.corr_exhaustive[2] is True
 
     def test_one_restriction_transform_and_no_sampled_correlation(self,
                                                                   monkeypatch) -> None:
         # the one transform is theta_decay's, of nu - 1_[N] on its 8N grid; the
-        # p = 4 moment takes none
-        import densemodel.majorants as majorants
+        # p = 4 moment takes none, and no level draws a random number
         import densemodel.signals as signals
 
-        nu = make_random_sparse(2000, 2 / 3, seed=1)
-        expected = diagnose(nu).as_dict()
+        expected = diagnose(make_random_sparse(2000, 2 / 3, seed=1)).as_dict()
+        nu = make_random_sparse(2000, 2 / 3, seed=1)  # no level measured yet
         seen = []
         original = signals.grid_fourier
 
@@ -239,12 +212,12 @@ class TestDiagnoseComputes:
             return original(f, g)
 
         def unexpected(*args, **kwargs):
-            raise AssertionError("diagnose sampled shift tuples at k_max = 2")
+            raise AssertionError("diagnose drew a random number")
 
         for name, module in list(sys.modules.items()):
             if name.startswith("densemodel") and vars(module).get("grid_fourier") is original:
                 monkeypatch.setattr(module, "grid_fourier", recorded)
-        monkeypatch.setattr(majorants, "max_correlation", unexpected)
+        monkeypatch.setattr(np.random, "default_rng", unexpected)
         assert diagnose(nu).as_dict() == expected
         assert seen == [(False, 8 * nu.N)]
 

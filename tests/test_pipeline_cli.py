@@ -117,10 +117,10 @@ class TestSubsetSelection:
 
 class TestPipeline:
     def test_schema_version(self) -> None:
-        assert report_schema_version() == "tlab-report/1"
+        assert report_schema_version() == "tlab-report/2"
         rep = run_pipeline(PipelineConfig(N=100, variant="green",
                                           eps=0.2, eta=0.2))
-        assert rep.data["schema"] == "tlab-report/1"
+        assert rep.data["schema"] == "tlab-report/2"
 
     def test_uniform_delta_one_is_exactly_bounded(self) -> None:
         # at small width the spectrum is so wide the Bohr set collapses to {0},
@@ -144,12 +144,12 @@ class TestPipeline:
         cfg = PipelineConfig(N=500, seed=7, variant="hdr", eps=0.2)
         assert run_pipeline(cfg).to_json() == run_pipeline(cfg).to_json()
 
-    def test_claims_carry_certification_kinds(self) -> None:
-        rep = run_pipeline(PipelineConfig(N=200, variant="hdr", eps=0.2))
+    @pytest.mark.parametrize("variant", ["green", "hdr", "naslund", "hahn_banach"])
+    def test_claims_carry_certification_kinds(self, variant) -> None:
+        rep = run_pipeline(PipelineConfig(N=200, variant=variant, eps=0.2))
         kinds = {c["kind"] for c in rep.data["claims"]}
-        assert kinds <= {"exact", "certified-bound", "sampled-estimate"}
-        assert "certified-bound" in kinds and "exact" in kinds
-        assert "sampled-estimate" in kinds
+        assert kinds == {"exact", "certified-bound"}
+        assert "sampled-estimate" not in kinds
 
     def test_canonical_json_sorts_keys(self) -> None:
         assert canonical_json({"b": 1, "a": np.float64(2.5)}) == \
@@ -194,6 +194,16 @@ class TestCli:
         data = json.loads(capsys.readouterr().out)
         assert data["total"] >= 0.0
 
+    def test_majorant_diagnostics_do_not_read_the_seed(self, capsys) -> None:
+        # squares ignores --seed, and diagnose takes nothing but nu
+        outputs = []
+        for seed in ("0", "3"):
+            assert main(["majorant", "--kind", "squares", "--N", "500",
+                         "--diagnose", "--seed", seed]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "diagnostics" in json.loads(outputs[0])
+
     def test_pipeline_report_file(self, tmp_path, capsys) -> None:
         out = str(tmp_path / "rep.json")
         code = main(["pipeline", "--N", "200", "--variant", "green",
@@ -201,7 +211,7 @@ class TestCli:
         capsys.readouterr()
         assert code == EXIT_OK
         data = json.loads(open(out).read())
-        assert data["schema"] == "tlab-report/1"
+        assert data["schema"] == "tlab-report/2"
 
     @pytest.mark.parametrize("argv", [
         ["count", "--form", "1,1,-1", "--weights", "missing.csv"],

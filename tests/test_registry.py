@@ -163,6 +163,7 @@ UNREAD_FLAGS = [
     (["project", "--point", "1,1", "--gens", "0,0"], ["--seed", "1"]),
     (["pipeline"], ["--variant", "bogus"]),
     (["count", "--form", "1,1,-2", "--weights", "w.csv"], ["--method", "convolution"]),
+    (["majorant", "--diagnose"], ["--k-max", "3"]),
 ]
 
 
