@@ -113,7 +113,7 @@ def spectrum(f: DiscreteSignal, nu: Majorant, eta: float,
     rho = grid_fourier_rounding(f, grid)
     j = _candidates(f, M, threshold - 2.0 * rho)
     if j is None:
-        mods = np.abs(grid_fourier(f, grid)[:M // 2 + 1])
+        mods = np.abs(grid_fourier(f, grid))
         idx = np.nonzero(mods >= threshold - rho)[0]
     else:
         idx = j[np.abs(fourier_at_grid_points(f, grid, j)) >= threshold - rho]
@@ -152,11 +152,10 @@ def _candidates(f: DiscreteSignal, M: int, level: float) -> np.ndarray | None:
     H = max(-int(n[0]), int(n[-1]))
     centred = DiscreteSignal(f.support_lo - c, f.values)
     moment = DiscreteSignal(f.support_lo - c, n * f.values)
-    half = M0 // 2 + 1
     h = coarse.lipschitz_radius
-    value = (np.abs(grid_fourier(centred, coarse)[:half])
+    value = (np.abs(grid_fourier(centred, coarse))
              + grid_fourier_rounding(centred, coarse))
-    slope = 2.0 * math.pi * (np.abs(grid_fourier(moment, coarse)[:half])
+    slope = 2.0 * math.pi * (np.abs(grid_fourier(moment, coarse))
                              + grid_fourier_rounding(moment, coarse))
     curvature = (2.0 * math.pi * H) ** 2 * lp_norm(f, 1)
     cells = np.nonzero(value + slope * h + curvature * h * h / 2.0 >= level)[0]

@@ -1,10 +1,9 @@
 """Weighted counting of solutions to c_1 x_1 + ... + c_s x_s = 0, Sum c_i = 0.
 
-The production route dilates each weight by its coefficient and takes one
-cyclic convolution on a modulus large enough to rule out wraparound: the
-first 5-smooth (fast FFT) length above sum |c_i| times the support radius.
-A brute-force nested sum and a direct spectral average provide independent
-oracles.  The transfer-error chain and the threshold-extraction
+The production route transforms each distinct weight once, to its half
+spectrum on Z/W past the form's reach, and reads each dilation as an index
+map on it.  A brute-force nested sum and a direct spectral average provide
+independent oracles.  The transfer-error chain and the threshold-extraction
 certificates used by the sparse pipeline live here too.
 """
 
@@ -21,6 +20,7 @@ from .signals import (
     FrequencyGrid,
     default_grid,
     fourier_sup_diff,
+    grid_fourier,
     lp_norm,
     next_fast_len,
 )
@@ -76,38 +76,44 @@ def _diagonal(weights) -> float:
 
 
 def _wrap_modulus(form: LinearForm, weights) -> int:
-    radius = max(max(abs(w.support_lo), abs(w.support_hi)) for w in weights)
-    need = sum(abs(c) for c in form.coeffs) * radius + 1
-    W = next_fast_len(need + 1)
+    """The first 5-smooth W >= reach + 2.  As Sum c_i = 0, |Sum c_i x_i| =
+    |Sum c_i (x_i - lo)| <= reach = (Sum |c_i| / 2)(hi - lo) on the windows' union."""
+    lo = min(w.support_lo for w in weights)
+    hi = max(w.support_hi for w in weights)
+    W = next_fast_len(sum(abs(c) for c in form.coeffs) // 2 * (hi - lo) + 2)
     if W > WRAP_MODULUS_CAP:
         raise ResourceError(f"wrap modulus {W} exceeds cap {WRAP_MODULUS_CAP}")
     return W
 
 
-def _dilated_cyclic(w: DiscreteSignal, c: int, W: int) -> np.ndarray:
-    """F(m) = w(m/c) when c divides m, folded onto Z/W."""
-    return np.bincount(np.mod(w.indices * c, W), weights=w.values, minlength=W)
+def _dilated(half: np.ndarray, c: int, W: int) -> np.ndarray:
+    """F(c k mod W) for k <= W/2, from F's half spectrum and F(W - m) = conj F(m)."""
+    if abs(c) > 1:
+        full = np.concatenate((half, np.conj(half[W - len(half):0:-1])))
+        half = np.resize(full, abs(c) * (W // 2) + 1)[::abs(c)]
+    return np.conj(half) if c < 0 else half
 
 
 def count_weighted(form: LinearForm, weights) -> CountReport:
-    """Exact weighted solution count via dilation plus one cyclic convolution.
+    """Weighted solution count, (1/W) Sum_k prod_i F_i(c_i k mod W) over Z/W.
 
-    A weight passed at two positions with the same coefficient, as in
-    (1, 1, -2) with [f] * 3, is transformed once.
+    F_i = `grid_fourier` of w_i on Z/W, so the weight dilated by c has
+    transform F_i(c k).  The weights are real, so the product P has
+    P(-k) = conj P(k): the sum is P(0) + 2 Re Sum_{0<k<W/2} P(k) (+ P(W/2)
+    for even W).  Each distinct weight is transformed once.
     """
     weights = list(weights)
     if len(weights) != form.s:
         raise ValidationError("need one weight per coefficient")
     W = _wrap_modulus(form, weights)
-    spectra = {}
-    spec_prod = None
+    halves, prod = {}, 1.0
     for c, w in zip(form.coeffs, weights):
-        if (id(w), c) not in spectra:
-            spectra[id(w), c] = np.fft.rfft(_dilated_cyclic(w, c, W))
-        F = spectra[id(w), c]
-        spec_prod = F if spec_prod is None else spec_prod * F
-    total = float(np.fft.irfft(spec_prod, W)[0])
-    return CountReport(total=total, diagonal=_diagonal(weights),
+        if id(w) not in halves:
+            halves[id(w)] = grid_fourier(w, FrequencyGrid(W))
+        prod = prod * _dilated(halves[id(w)], c, W)
+    re = prod.real
+    total = re[0] + 2.0 * np.sum(re[1:(W + 1) // 2]) + (re[W // 2] if W % 2 == 0 else 0.0)
+    return CountReport(total=float(total / W), diagonal=_diagonal(weights),
                        method="convolution", wrap_modulus=W)
 
 
@@ -153,34 +159,34 @@ def count_brute(form: LinearForm, weights) -> CountReport:
 def count_integer(form: LinearForm, weights) -> int:
     """Exact integer count for integer-valued weights (linear convolutions)."""
     weights = list(weights)
+    if len(weights) != form.s:
+        raise ValidationError("need one weight per coefficient")
     for w in weights:
         if len(w.values) > 10 ** 4:
             raise ResourceError("integer verification capped at support 10^4")
-        if not np.allclose(w.values, np.round(w.values)):
+        if not np.all(w.values == np.round(w.values)):
             raise ValidationError("count_integer needs integer-valued weights")
-    acc = None
-    acc_lo = 0
+    # every entry of a partial convolution is at most prod ||w_i||_1 in modulus
+    norms = [sum(abs(int(v)) for v in w.values.tolist()) for w in weights]
+    if math.prod(norms) >= 1 << 63:
+        raise ResourceError("integer count may overflow int64: prod ||w_i||_1 >= 2^63")
+    if 0 in norms:
+        return 0
+    acc, acc_lo = np.ones(1, dtype=np.int64), 0
     for cf, w in zip(form.coeffs, weights):
-        vals = np.round(w.values).astype(np.int64)
-        lo, hi = cf * w.support_lo, cf * w.support_hi
-        lo, hi = min(lo, hi), max(lo, hi)
-        buf = np.zeros(hi - lo + 1, dtype=np.int64)
-        buf[w.indices * cf - lo] = vals
-        if acc is None:
-            acc, acc_lo = buf, lo
-        else:
-            acc = np.convolve(acc, buf)
-            acc_lo += lo
-    if acc_lo <= 0 <= acc_lo + len(acc) - 1:
-        return int(acc[-acc_lo])
-    return 0
+        lo = min(cf * w.support_lo, cf * w.support_hi)
+        buf = np.zeros(abs(cf) * (len(w.values) - 1) + 1, dtype=np.int64)
+        buf[w.indices * cf - lo] = w.values.astype(np.int64)
+        acc = np.convolve(acc, buf)
+        acc_lo += lo
+    return int(acc[-acc_lo]) if acc_lo <= 0 < acc_lo + len(acc) else 0
 
 
 def count_spectral(form: LinearForm, weights) -> CountReport:
     """Orthogonality route: average of prod_i what_i(c_i j / W) over j.
 
     Evaluates each spectrum by a direct phase matrix, independently of the FFT
-    convolution path.
+    route of `count_weighted`.
     """
     weights = list(weights)
     if len(weights) != form.s:

@@ -125,12 +125,10 @@ def _convolution_model(f: DiscreteSignal, nu: Majorant, eps: float,
     if power == 2:
         g = convolve(g, sigma)
     grid = default_grid(g.support_hi - g.support_lo + 1)
-    # f, sigma and g are real: grid point M - j holds the conjugate of point
-    # j, so every check reads the half j <= M/2
-    half = grid.M // 2 + 1
-    fhat = grid_fourier(f, grid)[:half]
-    sighat = grid_fourier(sigma, grid)[:half]
-    ghat = grid_fourier(g, grid)[:half]
+    # f, sigma and g are real: the half j <= M/2 holds every modulus
+    fhat = grid_fourier(f, grid)
+    sighat = grid_fourier(sigma, grid)
+    ghat = grid_fourier(g, grid)
     err = certify_sup(subtract(f, g), fhat - ghat, grid)
     fmod = np.abs(fhat)
     sig_pow = sighat ** power
@@ -391,9 +389,8 @@ def hahn_banach_model(f: DiscreteSignal, nu: Majorant,
     grid = FrequencyGrid(HB_GRID_M)
     N = nu.N
     M = grid.M
-    half = M // 2 + 1
     psis = 2.0 * np.pi * np.arange(HB_DIRECTIONS) / HB_DIRECTIONS
-    fhat = grid_fourier(f, grid)[:half]
+    fhat = grid_fourier(f, grid)
     cos_gap = math.cos(math.pi / HB_DIRECTIONS)
 
     highs = _hb_highs(N)
@@ -426,7 +423,7 @@ def hahn_banach_model(f: DiscreteSignal, nu: Majorant,
         solves += 1
         g_vals = x[:N]
         t_star = float(x[N])
-        ghat = grid_fourier(DiscreteSignal(1, g_vals), grid)[:half]
+        ghat = grid_fourier(DiscreteSignal(1, g_vals), grid)
     converged = not violated
     g = DiscreteSignal(1, g_vals)
     err = certify_sup(subtract(f, g), fhat - ghat, grid)  # ghat is g's, at j <= M/2

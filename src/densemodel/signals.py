@@ -221,18 +221,19 @@ def exact_sum(x) -> float:
     half is summed per exponent e by `np.bincount`; in a block of
     EXACT_SUM_BLOCK terms every partial sum is an integer below 2^53, so the
     bins are exact.  The bins are combined in Python integers, and the one
-    division by a power of two at the end rounds correctly.  A zero sum takes
-    fsum's sign, and input with a non-finite term, or terms large enough
-    that partial sums might overflow, goes to fsum itself, so its results and
-    errors are fsum's there too.
+    division by a power of two at the end rounds correctly.  Zero terms are
+    skipped.  A zero sum takes fsum's sign, and input with a non-finite term,
+    or terms large enough that partial sums might overflow, goes to fsum
+    itself, so its results and errors are fsum's there too.
     """
     x = np.ravel(np.asarray(x, dtype=np.float64))
     if not np.all(np.isfinite(x)):
         return math.fsum(x)
+    nz = x[x != 0]
     total = 0
-    for start in range(0, len(x), EXACT_SUM_BLOCK):
-        mant, expo = np.frexp(x[start:start + EXACT_SUM_BLOCK])
-        if int(expo.max()) + len(x).bit_length() > 1023:
+    for start in range(0, len(nz), EXACT_SUM_BLOCK):
+        mant, expo = np.frexp(nz[start:start + EXACT_SUM_BLOCK])
+        if int(expo.max()) + len(nz).bit_length() > 1023:
             return math.fsum(x)  # partial sums may reach 2^1024
         hi = mant * 2.0 ** 27
         lo = hi - np.trunc(hi)
@@ -261,19 +262,16 @@ def fourier_eval(f: DiscreteSignal, alpha: float) -> complex:
 
 
 def grid_fourier(f: DiscreteSignal, grid: FrequencyGrid) -> np.ndarray:
-    """fhat at every grid point j/M, exactly (indices fold mod M without error).
+    """fhat at the grid points j/M, 0 <= j <= M/2 (indices fold mod M exactly).
 
-    f is real, so one real FFT of the folded buffer gives fhat at j <= M/2 and
-    the Hermitian symmetry fhat(-j/M) = conj(fhat(j/M)) gives the rest.
+    f is real, so one real FFT of the folded buffer gives this half, and
+    fhat(-j/M) = conj(fhat(j/M)) gives the rest of the circle.
     """
     M = grid.M
     buf = np.bincount(np.mod(f.indices, M), weights=f.values, minlength=M)
     # conj(rfft(buf))[j] = sum_n buf[n] e(+jn/M), matching the e() sign convention
     half = np.fft.rfft(buf)
-    out = np.empty(M, dtype=np.complex128)
-    np.conjugate(half, out=out[:len(half)])
-    out[len(half):] = half[M - len(half):0:-1]
-    return out
+    return np.conjugate(half, out=half)
 
 
 def fourier_at_grid_points(f: DiscreteSignal, grid: FrequencyGrid,
@@ -335,8 +333,8 @@ def grid_fourier_rounding(f: DiscreteSignal, grid: FrequencyGrid) -> float:
 def lp_norm(f: DiscreteSignal, p: float) -> float:
     """Counting-measure L^p norm; p >= 1 or p = inf.
 
-    At p = 1 and 2, above COMPENSATED_SUM_THRESHOLD terms, the sum is
-    correctly rounded (`exact_sum`); below it, and at other p, it is numpy's.
+    At p = 1 and 2, above COMPENSATED_SUM_THRESHOLD terms, `exact_sum` rounds
+    the sum correctly, skipping zeros; below it, and at other p, numpy sums.
     """
     if p == math.inf:
         return float(np.max(np.abs(f.values)))

@@ -101,7 +101,7 @@ class TestCountRoutes:
             count_brute(form, w)
 
     def test_spectral_cap(self) -> None:
-        # the phase matrix would be W x 20,000 = 81,000 x 20,000 entries
+        # the phase matrix would be W x 20,000 = 40,000 x 20,000 entries
         form = LinearForm((1, 1, -2))
         with pytest.raises(ResourceError, match="exceeds cap"):
             count_spectral(form, [DiscreteSignal.interval(20000)] * 3)
@@ -241,29 +241,108 @@ class TestWrapModulus:
              for _ in coeffs]
         rep = count_weighted(form, w)
         W = rep.wrap_modulus
-        # |c_1 x_1 + ... + c_s x_s| <= reach, so any W > reach rules out wraparound;
-        # the modulus is the first 5-smooth W >= reach + 2
-        reach = sum(abs(c) for c in coeffs) * max(abs(lo), abs(lo + size - 1))
+        # sum c_i = 0, so |c_1 x_1 + ... + c_s x_s| <= reach = (sum |c_i| / 2)
+        # times the span, and any W > reach rules out wraparound; the modulus
+        # is the first 5-smooth W >= reach + 2
+        reach = sum(abs(c) for c in coeffs) // 2 * (size - 1)
         assert is_5_smooth(W) and W >= reach + 2
         assert not any(is_5_smooth(m) for m in range(reach + 2, W))
         assert W & (W - 1) != 0  # not a power of two on these instances
         assert rep.total == pytest.approx(count_integer(form, w), abs=1e-6)
 
+    def test_reach_spans_the_union_of_windows(self) -> None:
+        # windows [-3, 2] and [5, 9]: the union spans 12, reach 2 * 12 = 24,
+        # and 27 is the first 5-smooth number >= 26
+        form = LinearForm((1, 1, -2))
+        a, b = DiscreteSignal(-3, np.ones(6)), DiscreteSignal(5, np.ones(5))
+        rep = count_weighted(form, [a, b, a])
+        assert rep.wrap_modulus == 27
+        assert rep.total == pytest.approx(count_brute(form, [a, b, a]).total, abs=1e-9)
 
-class TestDilatedFold:
-    def test_fold_matches_unbuffered_add_byte_for_byte(self) -> None:
-        # colliding indices add in window order, as np.add.at does; -0.0
-        # entries fold onto a +0.0 bin
-        from densemodel.counting import _dilated_cyclic
 
-        rng = np.random.default_rng(17)
-        for _ in range(200):
-            size = int(rng.integers(1, 60))
-            vals = rng.standard_normal(size) * np.exp2(rng.integers(-40, 40, size))
-            vals[rng.random(size) < 0.2] = -0.0
-            w = DiscreteSignal(int(rng.integers(-50, 50)), vals)
-            c = int(rng.choice([-3, -2, -1, 1, 2, 5]))
-            W = int(rng.integers(1, 80))
-            ref = np.zeros(W)
-            np.add.at(ref, np.mod(w.indices * c, W), w.values)
-            assert _dilated_cyclic(w, c, W).tobytes() == ref.tobytes()
+class TestDilatedSpectrum:
+    @pytest.mark.parametrize("W", [1, 2, 7, 8, 45, 64])
+    @pytest.mark.parametrize("c", [-3, -2, -1, 1, 2, 3, 5])
+    def test_strided_read_matches_index_map(self, W, c) -> None:
+        # F(c k mod W) for k <= W/2, against the full spectrum read through
+        # an index array
+        from densemodel.counting import _dilated
+        from densemodel.signals import FrequencyGrid, fourier_at_grid_points, grid_fourier
+
+        rng = np.random.default_rng(W * 10 + c)
+        w = DiscreteSignal(int(rng.integers(-20, 20)), rng.normal(size=12))
+        full = fourier_at_grid_points(w, FrequencyGrid(W), np.arange(W))
+        want = full[np.mod(c * np.arange(W // 2 + 1), W)]
+        got = _dilated(grid_fourier(w, FrequencyGrid(W)), c, W)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * float(np.sum(np.abs(w.values)))
+
+
+def _own_windows(coeffs, seed, near=0):
+    """One integer weight per coefficient, each on its own window."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in coeffs:
+        size = int(rng.integers(1, 14))
+        lo = near + int(rng.integers(-12, 6))  # windows before, across and after near
+        out.append(DiscreteSignal(lo, rng.integers(-3, 6, size=size).astype(float)))
+    return out
+
+
+class TestRoutesOnOwnWindows:
+    FORMS = [(1, 1, -2), (1, 2, -3), (3, -1, -2), (1, 1, 1, -3)]
+
+    @pytest.mark.parametrize("coeffs", FORMS)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_convolution_equals_integer_and_brute(self, coeffs, seed) -> None:
+        form = LinearForm(coeffs)
+        w = _own_windows(coeffs, seed)
+        exact = count_integer(form, w)
+        assert count_brute(form, w).total == exact
+        assert count_weighted(form, w).total == pytest.approx(exact, rel=1e-12, abs=1e-9)
+
+    @pytest.mark.parametrize("coeffs", FORMS)
+    def test_windows_far_from_zero(self, coeffs) -> None:
+        # a radius rule, sum |c_i| * 2e7 >= 8e7 > WRAP_MODULUS_CAP, would raise;
+        # the reach follows the span of the windows, not their distance from 0
+        form = LinearForm(coeffs)
+        w = _own_windows(coeffs, 11, near=2 * 10 ** 7)
+        rep = count_weighted(form, w)
+        assert rep.wrap_modulus < 1000
+        exact = count_integer(form, w)
+        assert count_brute(form, w).total == exact
+        assert rep.total == pytest.approx(exact, rel=1e-12, abs=1e-9)
+
+
+class TestIntegerRoute:
+    def test_rejects_non_integer_values(self) -> None:
+        # 1000000.5 is within np.allclose of 1000000 or 1000001
+        form = LinearForm((1, 1, -2))
+        w = DiscreteSignal(1, np.array([1000000.5, 2.0, 3.0]))
+        with pytest.raises(ValidationError, match="integer-valued"):
+            count_integer(form, [w] * 3)
+
+    def test_raises_where_int64_would_overflow(self) -> None:
+        # the true count is 3.375e22; int64 convolutions wrap to a negative
+        form = LinearForm((1, 1, -2))
+        w = DiscreteSignal(1, np.full(50, 3e6))
+        with pytest.raises(ResourceError, match="2\\^63"):
+            count_integer(form, [w] * 3)
+
+    def test_largest_norm_product_below_2_63_is_exact(self) -> None:
+        # norms 2^21 - 1 give a product below 2^63, norms 2^21 give 2^63
+        form = LinearForm((1, 1, -2))
+        w = DiscreteSignal(0, np.array([2.0 ** 21 - 1]))
+        assert count_integer(form, [w] * 3) == (2 ** 21 - 1) ** 3
+        with pytest.raises(ResourceError):
+            count_integer(form, [DiscreteSignal(0, np.array([2.0 ** 21]))] * 3)
+
+    def test_zero_weight_counts_zero(self) -> None:
+        form = LinearForm((1, 1, -2))
+        big = DiscreteSignal(1, np.array([1e30, 1.0]))
+        assert count_integer(form, [big, DiscreteSignal.zero(), big]) == 0
+
+    def test_weight_count_must_match(self) -> None:
+        form = LinearForm((1, 1, -2))
+        with pytest.raises(ValidationError, match="one weight per coefficient"):
+            count_integer(form, [DiscreteSignal.interval(5)] * 2)

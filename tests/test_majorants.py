@@ -126,7 +126,9 @@ class TestDiagnose:
         span = nu.signal.support_hi - nu.signal.support_lo + 1
         grid = FrequencyGrid(2048)
         assert grid.M >= 2 * span - 1
-        moment = float(np.mean(np.abs(grid_fourier(nu.signal, grid)) ** 4))
+        # |nuhat(-j/M)| = |nuhat(j/M)|: each 0 < j < M/2 stands for two points
+        quartic = np.abs(grid_fourier(nu.signal, grid)) ** 4
+        moment = float((quartic[0] + 2 * np.sum(quartic[1:1024]) + quartic[1024]) / 2048)
         assert nu.restriction_p4 == pytest.approx(moment * nu.N / nu.l1_mass ** 4,
                                                   rel=1e-12)
         assert diagnose(nu).restriction_estimate == {4.0: nu.restriction_p4}
