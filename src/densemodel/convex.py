@@ -51,16 +51,14 @@ class PointHull:
 
 @dataclass(frozen=True)
 class HyperplaneWitness:
-    """phi = x - y0 separating x from the hull.
+    """phi = x - y0 separating x from the hull, y0 its nearest point.
 
     Every hull point y satisfies y . phi <= anchor_value (up to the gap
-    tolerance), while x . phi = anchor_value + distance^2.
+    tolerance), while x . phi = anchor_value + |phi|^2.
     """
 
     normal: np.ndarray
     anchor_value: float
-    projection: np.ndarray
-    distance: float
 
 
 @dataclass(frozen=True)
@@ -146,8 +144,7 @@ def project_onto_hull(x, A: PointHull, tol: float = DEFAULT_TOL) -> HullProjecti
     if not inside:
         phi = x - y0
         witness = HyperplaneWitness(normal=phi,
-                                    anchor_value=float(np.dot(y0, phi)),
-                                    projection=y0, distance=dist)
+                                    anchor_value=float(np.dot(y0, phi)))
     return HullProjection(point=y0, coefficients=lam, distance=dist,
                           gap=gap, iterations=it, inside=inside,
                           witness=witness)

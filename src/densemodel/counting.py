@@ -114,7 +114,7 @@ def count_weighted(form: LinearForm, weights) -> CountReport:
     re = prod.real
     total = re[0] + 2.0 * np.sum(re[1:(W + 1) // 2]) + (re[W // 2] if W % 2 == 0 else 0.0)
     return CountReport(total=float(total / W), diagonal=_diagonal(weights),
-                       method="convolution", wrap_modulus=W)
+                       method="half-spectrum", wrap_modulus=W)
 
 
 def count_brute(form: LinearForm, weights) -> CountReport:

@@ -34,9 +34,10 @@ class Majorant:
     """Nonnegative weight nu supported in [1, N] with mass within [N/2, 2N].
 
     The levels the constructions read are measured on first read and kept, as
-    the signal is read-only: the mass, theta_Linf, theta_L2, the window
-    autocorrelation, and the all-lag corr2 and p = 4 moment read off it.  A
-    window [1, N] longer than the convolution cap is refused first, before any
+    the signal is read-only: the mass, theta_Linf, theta_L2, nu on its
+    window, the window autocorrelation, and the all-lag corr2 and p = 4
+    moment read off it.  A window [1, N] whose autocorrelation, 2N - 1
+    points, is longer than the convolution cap is refused first, before any
     of them allocates it.
     """
 
@@ -45,9 +46,10 @@ class Majorant:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.N > MAX_CONV_LENGTH:
+        if 2 * self.N - 1 > MAX_CONV_LENGTH:
             raise ResourceError(
-                f"majorant window [1, {self.N}] exceeds cap {MAX_CONV_LENGTH}")
+                f"majorant window [1, {self.N}] exceeds cap {MAX_CONV_LENGTH}: "
+                f"its autocorrelation has {2 * self.N - 1} points")
         if self.N < 1:
             raise ValidationError("majorant needs N >= 1")
         if np.any(self.signal.values < 0):
@@ -77,9 +79,33 @@ class Majorant:
         return lp_norm(self.signal, 2) ** 2 / self.N ** 2
 
     @cached_property
+    def window(self) -> np.ndarray:
+        """nu on the full window [1, N]: entry n - 1 is nu(n).  Read-only."""
+        vals = np.zeros(self.N)
+        sig = self.signal
+        vals[sig.support_lo - 1: sig.support_hi] = sig.values
+        vals.flags.writeable = False
+        return vals
+
+    def correlation(self, shifts: tuple) -> float:
+        """sum_n nu(n + m_1) ... nu(n + m_l) for the shift tuple (m_1, ..., m_l).
+
+        The direct float sum over the window; shifts past its length give 0.
+        """
+        v = self.window
+        lo, hi = min(shifts), max(shifts)
+        span = self.N - (hi - lo)
+        if span <= 0:
+            return 0.0
+        prod = v[shifts[0] - lo: shifts[0] - lo + span].copy()
+        for m in shifts[1:]:
+            prod *= v[m - lo: m - lo + span]
+        return float(np.sum(prod))
+
+    @cached_property
     def autocorrelation(self) -> np.ndarray:
         """Entry N - 1 + m is sum_n nu(n) nu(n + m), |m| < N: one FFT convolution."""
-        v = _window_values(self)
+        v = self.window
         return convolve(DiscreteSignal(0, v), DiscreteSignal(0, v[::-1])).values
 
     @cached_property
@@ -202,32 +228,12 @@ def make_weighted_primes(N: int) -> Majorant:
     return Majorant(DiscreteSignal(1, vals).trimmed(), N, {"kind": "primes"})
 
 
-def _window_values(nu: Majorant) -> np.ndarray:
-    """nu on the full window [1, N]."""
-    vals = np.zeros(nu.N)
-    sig = nu.signal
-    vals[sig.support_lo - 1: sig.support_hi] = sig.values
-    return vals
-
-
-def _corr_value(v: np.ndarray, shifts: tuple) -> float:
-    """sum_n v(n + m_1) ... v(n + m_l) for the shift tuple (counting indices)."""
-    lo, hi = min(shifts), max(shifts)
-    span = len(v) - (hi - lo)
-    if span <= 0:
-        return 0.0
-    prod = v[shifts[0] - lo: shifts[0] - lo + span].copy()
-    for m in shifts[1:]:
-        prod *= v[m - lo: m - lo + span]
-    return float(np.sum(prod))
-
-
 def max_lag_correlation(nu: Majorant, lags) -> float:
     """max(0, max over m in lags of sum_n nu(n) nu(n+m)), lags in 1..N-1.
 
     Every lag is screened at once by nu's FFT autocorrelation a of its window
     v.  Only lags whose screened value lies within 2 rho of the screened
-    maximum are evaluated exactly, by the direct `_corr_value` sum, where
+    maximum are evaluated exactly, by the direct `Majorant.correlation`, where
     rho = fft_rounding_bound(2N - 1, ||v||_2^2) bounds |a(m) - c(m)| for the
     direct float value c(m) of every lag.  The result is bit-identical to
     evaluating every lag directly: let m* be the lag of the largest c and m'
@@ -237,14 +243,14 @@ def max_lag_correlation(nu: Majorant, lags) -> float:
     lags = np.asarray(lags, dtype=np.int64)
     if len(lags) == 0:
         return 0.0
-    v = _window_values(nu)
-    N = len(v)
+    v = nu.window
+    N = nu.N
     screened = nu.autocorrelation[N - 1 + lags]
     # np.sum, not np.dot: at large N a BLAS call starts threads that then spin
     rho = fft_rounding_bound(2 * N - 1, float(np.sum(v * v)))
     best = 0.0
     for m in lags[screened >= np.max(screened) - 2.0 * rho]:
-        best = max(best, _corr_value(v, (0, int(m))))
+        best = max(best, nu.correlation((0, int(m))))
     return best
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bohr import BohrSet, bohr_enumerate, bohr_measure, bohr_measure_fourier, spectrum
 from .errors import DenseModelError, ValidationError
-from .majorants import Majorant, _corr_value, _window_values, max_lag_correlation
+from .majorants import Majorant, max_lag_correlation
 from .signals import (
     CertifiedSup,
     DiscreteSignal,
@@ -230,8 +230,7 @@ def _bohr_restricted_correlations(nu: Majorant, B: BohrSet, k: int) -> dict:
     out[2] = {"value": corr2, "method": "exact"}
     for l in range(3, k + 1):
         if len(pos) ** (l - 1) <= CORR_TUPLE_BUDGET:
-            v = _window_values(nu)
-            best = max((_corr_value(v, (0,) + combo)
+            best = max((nu.correlation((0,) + combo)
                         for combo in combinations(pos, l - 1)), default=0.0)
             out[l] = {"value": best / N, "method": "exact"}
         else:

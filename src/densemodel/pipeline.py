@@ -191,23 +191,12 @@ class PipelineReport:
         return canonical_json(self.data)
 
 
-def _plain(obj):
-    """Recursively convert numpy scalars/arrays so json can serialize them."""
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    return obj
-
-
 def canonical_json(data: dict) -> str:
-    """Deterministic serialization: sorted keys, fixed separators, repr floats."""
-    return json.dumps(_plain(data), sort_keys=True, indent=2,
-                      separators=(",", ": ")) + "\n"
+    """Deterministic serialization: sorted keys, fixed separators, repr floats.
+
+    Every value is made JSON-native where it is computed; this only writes.
+    """
+    return json.dumps(data, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
 
 
 def _entry(table: dict, name: str, what: str):
@@ -219,12 +208,13 @@ def _entry(table: dict, name: str, what: str):
 def build_majorant(kind: str, N: int, exponent: float, seed: int) -> Majorant:
     """The majorant of one of MAJORANT_KINDS; exponent and seed apply to sparse.
 
-    A window [1, N] longer than the convolution cap is refused before anything
-    is allocated.
+    A window [1, N] whose autocorrelation, 2N - 1 points, is longer than the
+    convolution cap is refused before anything is allocated.
     """
     make = _entry(_MAJORANT_MAKERS, kind, "majorant")
-    if N > MAX_CONV_LENGTH:
-        raise ResourceError(f"majorant window [1, {N}] exceeds cap {MAX_CONV_LENGTH}")
+    if 2 * N - 1 > MAX_CONV_LENGTH:
+        raise ResourceError(f"majorant window [1, {N}] exceeds cap {MAX_CONV_LENGTH}: "
+                            f"its autocorrelation has {2 * N - 1} points")
     return make(N, exponent=exponent, seed=seed)
 
 
@@ -327,7 +317,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineReport:
         },
         "diagnostics": diag.as_dict(),
         "subset": {"size": subset_size, "selection": cfg.selection,
-                   "delta": cfg.delta, "mass_f": float(np.sum(f.values))},
+                   "delta": cfg.delta, "mass_f": model.mass_f},
         "model": model.as_dict(),
         "counts": {"f": count_f.as_dict(), "g": count_g.as_dict()},
         "threshold": threshold.as_dict(),
@@ -337,4 +327,4 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineReport:
         "flags": flags,
         "ok": ok,
     }
-    return PipelineReport(data=_plain(data))
+    return PipelineReport(data=data)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densemodel.errors import ValidationError
+from densemodel.errors import ResourceError, ValidationError
 from densemodel.majorants import (
     Majorant,
     diagnose,
@@ -87,6 +87,18 @@ class TestConstructors:
     def test_support_outside_window_rejected(self) -> None:
         with pytest.raises(ValidationError):
             Majorant(DiscreteSignal(0, np.ones(10) * 2), 10, {})
+
+    def test_window_cap_counts_the_autocorrelation(self) -> None:
+        # one point of mass N: the check comes before any N-sized array
+        at_cap = Majorant(DiscreteSignal(1, np.array([2.0 ** 23])), 2 ** 23)
+        assert at_cap.N == 2 ** 23  # 2N - 1 = 2^24 - 1 points
+        with pytest.raises(ResourceError, match="autocorrelation has 16777217 points"):
+            Majorant(DiscreteSignal(1, np.array([2.0 ** 23 + 1])), 2 ** 23 + 1)
+
+    def test_window_is_nu_on_one_to_N_read_only(self) -> None:
+        nu = make_squares(30)
+        assert nu.window.tolist() == [nu.signal(n) for n in range(1, 31)]
+        assert not nu.window.flags.writeable
 
 
 class TestCorrelations:

@@ -25,10 +25,12 @@ from densemodel.errors import (
 )
 from densemodel.counting import LinearForm, count_brute, count_weighted
 from densemodel.pipeline import (
+    VARIANTS,
     PipelineConfig,
     build_majorant,
     canonical_json,
     report_schema_version,
+    run_model,
     run_pipeline,
     select_subset,
 )
@@ -491,12 +493,38 @@ class TestNoBlasCall:
                                                eta=0.1)).ok
 
 
+def _cli_in_one_gib(*argv: str) -> subprocess.CompletedProcess:
+    """`densemodel argv` in a child process limited to 1 GiB of address space.
+
+    1 GiB holds the interpreter, and keeps a run that allocates before it
+    refuses from taking the machine's memory.
+    """
+    limit = "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))"
+    code = (f"import resource, sys; {limit}; from densemodel.cli import main; "
+            "sys.exit(main(sys.argv[1:]))")
+    src = str(Path(densemodel.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+
+
 class TestOversizedWindows:
     """A window past the convolution cap is refused before it is allocated."""
 
     def test_build_majorant_past_cap(self) -> None:
         with pytest.raises(ResourceError, match="exceeds cap"):
             build_majorant("uniform", MAX_CONV_LENGTH + 1, 2 / 3, 0)
+
+    def test_build_majorant_whose_autocorrelation_passes_cap(self) -> None:
+        # 2N - 1 = 2^24 + 1 points: diagnose and the models would refuse later
+        with pytest.raises(ResourceError,
+                           match="its autocorrelation has 16777217 points"):
+            build_majorant("uniform", 2 ** 23 + 1, 2 / 3, 0)
+
+    def test_cli_refuses_autocorrelation_past_cap(self) -> None:
+        done = _cli_in_one_gib("majorant", "--kind", "uniform", "--N", "8388609")
+        assert done.returncode == EXIT_RESOURCE, done.stderr
+        assert "majorant window [1, 8388609] exceeds cap" in done.stderr
 
     @pytest.mark.parametrize("argv", [
         ["majorant", "--kind", "uniform", "--N", str(MAX_CONV_LENGTH + 1)],
@@ -525,18 +553,48 @@ class TestOversizedWindows:
         # one point of mass N passes the mass check; the window [1, N] is 10^9 long
         spike = tmp_path / "spike.csv"
         spike.write_text("n,value\n1,1000000000\n")
-        # 1 GiB of address space holds the interpreter but no N-sized array
-        limit = "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))"
-        code = (f"import resource, sys; {limit}; from densemodel.cli import main; "
-                "sys.exit(main(sys.argv[1:]))")
-        src = str(Path(densemodel.__file__).resolve().parents[1])
-        done = subprocess.run(
-            [sys.executable, "-c", code, *argv, "--majorant-csv", str(spike),
-             "--N", "1000000000"],
-            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
-            timeout=120)
+        done = _cli_in_one_gib(*argv, "--majorant-csv", str(spike), "--N", "1000000000")
         assert done.returncode == EXIT_RESOURCE, done.stderr
         assert "majorant window [1, 1000000000] exceeds cap" in done.stderr
+
+
+JSON_TYPES = (str, int, float, bool, type(None), list, dict)
+
+
+def _non_json(value, path: str = "$") -> list:
+    """Paths of values whose exact type is not a JSON type, and of non-str keys."""
+    bad = [] if type(value) in JSON_TYPES else [f"{path}: {type(value).__name__}"]
+    if type(value) is dict:
+        for key, v in value.items():
+            if type(key) is not str:
+                bad.append(f"{path}: key {key!r}")
+            bad += _non_json(v, f"{path}.{key}")
+    elif type(value) is list:
+        for i, v in enumerate(value):
+            bad += _non_json(v, f"{path}[{i}]")
+    return bad
+
+
+class TestReportsAreJsonNative:
+    """Report values are made JSON-native where they are computed, so that
+    `canonical_json` only writes them."""
+
+    @pytest.mark.parametrize("cfg", [
+        *(PipelineConfig(N=300, variant=v, eps=0.2, eta=0.2, seed=2) for v in VARIANTS),
+        PipelineConfig(N=300, variant="hdr", delta=0.0),
+    ], ids=[*VARIANTS, "empty_subset"])
+    def test_pipeline_report(self, cfg) -> None:
+        report = run_pipeline(cfg)
+        assert _non_json(report.data) == []
+        assert json.loads(report.to_json()) == report.data
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_densify_output(self, variant) -> None:
+        nu = build_majorant("sparse", 300, 2 / 3, 3)
+        data = run_model(variant, nu.signal, nu, eps=0.25, eta=0.25, k=3, p=4.0,
+                         tol=1e-6, strict=False).as_dict()
+        assert _non_json(data) == []
+        assert json.loads(canonical_json(data)) == data
 
 
 class TestImportFootprint:
