@@ -112,8 +112,8 @@ def cmd_minimax(args) -> None:
     res = convex.minimax_solve(A, B, tol=args.tol)
     _emit({
         "value": res.value,
-        "a_star": list(res.a_star),
-        "b_star": list(res.b_star),
+        "a_star": res.a_star.tolist(),
+        "b_star": res.b_star.tolist(),
         "gap": res.gap,
     }, args.strict)
 
@@ -123,7 +123,7 @@ def cmd_project(args) -> None:
     proj = convex.project_onto_hull(_parse_vector(args.point), hull,
                                     tol=args.tol)
     data = {
-        "projection": list(proj.point),
+        "projection": proj.point.tolist(),
         "distance": proj.distance,
         "gap": proj.gap,
         "inside": proj.inside,
@@ -131,7 +131,7 @@ def cmd_project(args) -> None:
     }
     if proj.witness is not None:
         data["witness"] = {
-            "normal": list(proj.witness.normal),
+            "normal": proj.witness.normal.tolist(),
             "anchor_value": proj.witness.anchor_value,
         }
     _emit(data, args.strict)

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ResourceError, ValidationError
 from .signals import (
+    CertifiedSup,
     DiscreteSignal,
     FrequencyGrid,
     default_grid,
@@ -221,40 +222,36 @@ class TransferErrorReport:
                 "ok": self.ok}
 
 
-def transfer_grid(f: DiscreteSignal, g: DiscreteSignal) -> FrequencyGrid:
-    """The check grid of f - g: `default_grid` of the window holding both."""
-    return default_grid(max(f.support_hi, g.support_hi)
-                        - min(f.support_lo, g.support_lo) + 1)
-
-
 def transfer_error_bound(form: LinearForm, f: DiscreteSignal, g: DiscreteSignal,
                          count_f: float | None = None,
                          count_g: float | None = None,
-                         sup_err: float | None = None) -> TransferErrorReport:
+                         sup: CertifiedSup | None = None) -> TransferErrorReport:
     """Delta = sup_err * s * max(||.||_2)^2 * max(||.||_1)^(s-3).
 
     Telescoping over positions: one factor takes the certified sup error, two
     take Cauchy-Schwarz in L^2 (dilation by a nonzero integer preserves the
     circle L^2 norm), the rest are bounded in sup by the L^1 norm.  sup_err
-    is certified by `fourier_sup_diff` on `transfer_grid(f, g)`, unless the
-    caller passes a certified bound on sup |fhat - ghat| over the circle it
-    already holds, such as the `certified_upper` of a model's Fourier error.
-    The counts on both sides are computed, unless the caller passes the
-    totals of `count_weighted(form, [f] * s)` and `[g] * s` it already holds,
-    and the inequality is checked on the instance.
+    is the `certified_upper` of a certificate for sup |fhat - ghat| over the
+    circle read on the check grid, `default_grid` of the window holding f and
+    g: the caller's `sup`, such as a model's Fourier error, when it was read
+    on that grid, else `fourier_sup_diff` on it.  The counts on both sides are
+    computed, unless the caller passes the totals of
+    `count_weighted(form, [f] * s)` and `[g] * s` it already holds, and the
+    inequality is checked on the instance.
     """
-    if sup_err is None:
-        sup_err = fourier_sup_diff(f, g, transfer_grid(f, g)).certified_upper
+    grid = default_grid(max(f.support_hi, g.support_hi)
+                        - min(f.support_lo, g.support_lo) + 1)
+    if sup is None or sup.grid_M != grid.M:
+        sup = fourier_sup_diff(f, g, grid)
     m2 = max(lp_norm(f, 2), lp_norm(g, 2))
     m1 = max(lp_norm(f, 1), lp_norm(g, 1))
     s = form.s
-    delta = sup_err * s * m2 ** 2 * m1 ** (s - 3)
+    delta = sup.certified_upper * s * m2 ** 2 * m1 ** (s - 3)
     cf = count_weighted(form, [f] * s).total if count_f is None else count_f
     cg = count_weighted(form, [g] * s).total if count_g is None else count_g
     lhs = abs(cf - cg)
     ok = lhs <= delta * (1 + 1e-9) + 1e-9
-    return TransferErrorReport(delta=delta, sup_err=sup_err,
-                               count_f=cf, count_g=cg, ok=ok)
+    return TransferErrorReport(delta, sup.certified_upper, count_f=cf, count_g=cg, ok=ok)
 
 
 @dataclass(frozen=True)

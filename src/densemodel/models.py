@@ -11,7 +11,7 @@ instead of asymptotic constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import TYPE_CHECKING
 
@@ -94,19 +94,21 @@ def _power_sum(sig: DiscreteSignal, k: float) -> float:
 
 def _report(variant: str, params: dict, f: DiscreteSignal, nu: Majorant,
             g: DiscreteSignal, err: CertifiedSup, checks: dict, flags: list,
-            claims: list, lk_sum: float | None = None) -> DenseModelReport:
-    """The report of one construction; its norms and masses are read off f and g."""
+            claims: list) -> DenseModelReport:
+    """The report of one construction; its norms and masses are read off f and g,
+    and its `grid_M` off the grid its Fourier certificate was read on."""
     return DenseModelReport(
-        variant=variant, params=params, g=g, fourier_err=err,
-        g_linf=lp_norm(g, np.inf), g_l2_over_N=_power_sum(g, 2) / nu.N,
+        variant=variant, params={**params, "grid_M": err.grid_M}, g=g,
+        fourier_err=err, g_linf=lp_norm(g, np.inf),
+        g_l2_over_N=_power_sum(g, 2) / nu.N,
         mass_f=float(np.sum(f.values)), mass_g=float(np.sum(g.values)),
-        g_lk_over_N=None if lk_sum is None else lk_sum / nu.N,
         checks=checks, flags=flags, claims=claims)
 
 
-def _convolution_model(f: DiscreteSignal, nu: Majorant, eps: float,
-                       eta: float, power: int, strict: bool) -> tuple:
-    """Shared core of the smoothing constructions: returns pieces for reports.
+def _smoothing(variant: str, f: DiscreteSignal, nu: Majorant, eps: float,
+               eta: float, power: int, strict: bool,
+               **params) -> tuple[DenseModelReport, BohrSet, DiscreteSignal]:
+    """The report of g = f * sigma^power before its boundedness claim, with B and sigma.
 
     Its checks are the pointwise certified inequalities of the proof chain on
     the check grid.  Off-spectrum grid points obey |fhat - ghat| <= 2 eta
@@ -156,46 +158,43 @@ def _convolution_model(f: DiscreteSignal, nu: Majorant, eps: float,
     if B.size == 1:
         # B = {0}: g is f itself and the Fourier certificate is 0 for free
         flags.append("bohr_trivial")
-    return B, sigma, g, grid, err, checks, flags, claims
+    return (_report(variant, {"eps": eps, "eta": eta, **params}, f, nu, g, err,
+                    checks, flags, claims), B, sigma)
+
+
+def _bounded(report: DenseModelReport, claim: str, key: str, value: float,
+             bound: float, **checks) -> DenseModelReport:
+    """`report` with its variant's checks and boundedness claim value <= bound.
+
+    The claim's bound and verdict are also the checks `<key>_bound` and `<key>_ok`.
+    """
+    ok = value <= bound * (1 + 1e-9)
+    report.checks.update(checks, **{f"{key}_bound": bound, f"{key}_ok": ok})
+    report.claims.append((claim, value, bound, ok))
+    return report
 
 
 def green_model(f: DiscreteSignal, nu: Majorant, eps: float, eta: float,
                 strict: bool = False) -> DenseModelReport:
     """g = f * sigma * sigma: the doubly smoothed, L^inf-bounded approximant."""
-    B, _, g, grid, err, checks, flags, claims = _convolution_model(
-        f, nu, eps, eta, power=2, strict=strict)
+    report, B, _ = _smoothing("green", f, nu, eps, eta, power=2, strict=strict)
     # instance form of the L^inf chain: g <= 1 + theta_decay * N / |B|
-    theta_decay = nu.theta_decay(grid)
-    linf_bound = 1.0 + theta_decay * nu.N / B.size
-    g_linf = lp_norm(g, np.inf)
-    checks["theta_decay"] = theta_decay
-    checks["linf_bound"] = linf_bound
-    checks["linf_ok"] = g_linf <= linf_bound * (1 + 1e-9)
-    claims.append(("g_linf", g_linf, linf_bound, checks["linf_ok"]))
-    return _report("green", {"eps": eps, "eta": eta, "grid_M": grid.M},
-                   f, nu, g, err, checks, flags, claims)
+    theta_decay = nu.theta_decay(FrequencyGrid(report.fourier_err.grid_M))
+    return _bounded(report, "g_linf", "linf", report.g_linf,
+                    1.0 + theta_decay * nu.N / B.size, theta_decay=theta_decay)
 
 
 def hdr_model(f: DiscreteSignal, nu: Majorant, eps: float,
               strict: bool = False) -> DenseModelReport:
     """g = f * sigma with eta = eps: the singly smoothed, L^2-bounded approximant."""
-    B, _, g, grid, err, checks, flags, claims = _convolution_model(
-        f, nu, eps, eps, power=1, strict=strict)
+    report, B, _ = _smoothing("hdr", f, nu, eps, eps, power=1, strict=strict)
     theta_L2 = nu.theta_L2
     corr2 = nu.corr2  # exact: every shift m != 0 is tested
-    l2 = _power_sum(g, 2)
+    l2 = _power_sum(report.g, 2)
     # proof split: diagonal pairs give theta_L2 N^2 / |B|, off-diagonal corr2 N
-    l2_bound = theta_L2 * nu.N ** 2 / B.size + 2.0 * corr2 * nu.N
-    checks.update({
-        "theta_L2": theta_L2,
-        "corr2": corr2,
-        "l2_sum": l2,
-        "l2_bound": l2_bound,
-        "l2_ok": l2 <= l2_bound * (1 + 1e-9),
-    })
-    claims.append(("g_l2", l2, l2_bound, checks["l2_ok"]))
-    return _report("hdr", {"eps": eps, "eta": eps, "grid_M": grid.M},
-                   f, nu, g, err, checks, flags, claims)
+    return _bounded(report, "g_l2", "l2", l2,
+                    theta_L2 * nu.N ** 2 / B.size + 2.0 * corr2 * nu.N,
+                    theta_L2=theta_L2, corr2=corr2, l2_sum=l2)
 
 
 def _positive_differences(B: BohrSet) -> np.ndarray:
@@ -259,8 +258,9 @@ def naslund_model(f: DiscreteSignal, nu: Majorant, k: int, p: float,
     log_inv = math.log(1.0 / theta)
     width = (2.0 * NASLUND_C_P / log_inv) ** (1.0 / (p + 2))
     eps = min(0.5, width)
-    B, sigma, g, grid, err, checks, flags, claims = _convolution_model(
-        f, nu, eps, eps, power=1, strict=strict)
+    report, B, sigma = _smoothing("naslund", f, nu, eps, eps, power=1, strict=strict,
+                                  k=k, p=p, C_p=NASLUND_C_P, theta=theta)
+    flags = report.flags
     if k > 0.5 * math.sqrt(log_inv):
         flags.append("k_exceeds_hypothesis_window")
     if width > 0.5:
@@ -272,7 +272,7 @@ def naslund_model(f: DiscreteSignal, nu: Majorant, k: int, p: float,
     bohr_condition = B.size >= k * collapse * theta * nu.N
     if not bohr_condition:
         flags.append("unverified boundedness")
-    lk = _power_sum(g, k)
+    lk = _power_sum(report.g, k)
     corr = _bohr_restricted_correlations(nu, B, k)
     # sum over numbers of distinct shifts: 2^binom |B|^l (theta N)^(k-l) corr_l N,
     # all divided by |B|^k
@@ -282,24 +282,14 @@ def naslund_model(f: DiscreteSignal, nu: Majorant, k: int, p: float,
     if not math.isfinite(chain_bound):
         raise ValidationError(
             f"naslund_model's L^k collapse bound is not a finite float: k = {k} is too large")
-    nu_smoothed = convolve(nu.signal, sigma)
-    majorant_chain = _power_sum(nu_smoothed, k)
-    checks.update({
-        "theta_Linf": theta,
-        "bohr_condition_rhs": k * collapse * theta * nu.N,
-        "bohr_condition_ok": bool(bohr_condition),
-        "lk_sum": lk,
-        "lk_majorant_chain": majorant_chain,
-        "lk_majorant_ok": lk <= majorant_chain * (1 + 1e-9),
-        "lk_collapse_bound": chain_bound,
-        "lk_collapse_ok": lk <= chain_bound * (1 + 1e-9),
-        "corr_constants": {str(l): corr[l] for l in corr},
-    })
-    claims.append(("g_lk", lk, chain_bound, checks["lk_collapse_ok"]))
-    return _report("naslund", {"eps": eps, "eta": eps, "k": k, "p": p,
-                               "C_p": NASLUND_C_P, "theta": theta,
-                               "grid_M": grid.M},
-                   f, nu, g, err, checks, flags, claims, lk_sum=lk)
+    majorant_chain = _power_sum(convolve(nu.signal, sigma), k)
+    return _bounded(replace(report, g_lk_over_N=lk / nu.N), "g_lk", "lk_collapse",
+                    lk, chain_bound, theta_Linf=theta,
+                    bohr_condition_rhs=k * collapse * theta * nu.N,
+                    bohr_condition_ok=bool(bohr_condition), lk_sum=lk,
+                    lk_majorant_chain=majorant_chain,
+                    lk_majorant_ok=lk <= majorant_chain * (1 + 1e-9),
+                    corr_constants={str(l): corr[l] for l in corr})
 
 
 def clamp_to_unit_window(g: DiscreteSignal, N: int) -> DiscreteSignal:
@@ -434,7 +424,6 @@ def hahn_banach_model(f: DiscreteSignal, nu: Majorant,
         "rounds_constraints": len(rows),
         "converged": converged,
     }
-    return _report("hahn_banach",
-                   {"grid_M": M, "directions": HB_DIRECTIONS, "tol": tol},
+    return _report("hahn_banach", {"directions": HB_DIRECTIONS, "tol": tol},
                    f, nu, g, err, checks, flags,
                    [("lp_optimum", t_star, checks["t_upper"], converged)])

@@ -25,7 +25,6 @@ from .counting import (
     count_weighted,
     threshold_extract,
     transfer_error_bound,
-    transfer_grid,
 )
 from .errors import DenseModelError, ResourceError, ValidationError
 from .majorants import (
@@ -288,12 +287,9 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineReport:
     flags.extend(threshold.flags)
     comparison = _stage("threshold", count_comparison, form, model.g, threshold,
                         count_g=count_g.total)
-    # a smoothing model certified sup |fhat - ghat| on the transfer's own grid,
-    # as g's window holds f's; HB's grid is its coarser LP grid
-    sup_err = (model.fourier_err.certified_upper
-               if model.params["grid_M"] == transfer_grid(f, model.g).M else None)
     transfer = _stage("transfer", transfer_error_bound, form, f, model.g,
-                      count_f=count_f.total, count_g=count_g.total, sup_err=sup_err)
+                      count_f=count_f.total, count_g=count_g.total,
+                      sup=model.fourier_err)
 
     claim("fourier_err_upper", "certified-bound",
           model.fourier_err.certified_upper)

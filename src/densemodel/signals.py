@@ -10,7 +10,9 @@ the trivial bound |fhat| <= ||f||_1.
 
 from __future__ import annotations
 
+import bisect
 import csv
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -140,12 +142,22 @@ class FrequencyGrid:
         return 0.5 / self.M
 
 
+@functools.cache
+def _five_smooth_lengths() -> list:
+    """Every 5-smooth number 2^a 3^b 5^c below 2^63, in increasing order."""
+    lengths = [1]
+    for p in (2, 3, 5):
+        for m in lengths:  # visits what it appends: each m p^e < 2^63 joins once
+            if m * p < 1 << 63:
+                lengths.append(m * p)
+    return sorted(lengths)
+
+
 def next_fast_len(n: int) -> int:
     """The least 5-smooth number 2^a 3^b 5^c >= n, a fast length for a real FFT.
 
-    Each odd part 3^b 5^c below the best length so far is scaled by the
-    least power of two that lifts it to n or past; the power of two at or
-    above n starts the search.  Exact in integers for every n >= 1.
+    One bisection into the table of every 5-smooth number below 2^63, built on
+    first use; a larger n, which no grid or wrap modulus can reach, is refused.
     `scipy.fft.next_fast_len(n, real=True)` gives the same lengths today,
     but documents that its result may change, and the grid sizes and wrap
     moduli that reports print must not.
@@ -153,16 +165,11 @@ def next_fast_len(n: int) -> int:
     n = operator.index(n)
     if n < 1:
         raise ValidationError(f"next_fast_len needs n >= 1, got {n}")
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            # ceil(n / p35) <= 2^k exactly when (n - 1) // p35 < 2^k
-            best = min(best, p35 << ((n - 1) // p35).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
+    table = _five_smooth_lengths()
+    i = bisect.bisect_left(table, n)
+    if i == len(table):
+        raise ResourceError(f"next_fast_len: no 5-smooth length below 2^63 is >= {n}")
+    return table[i]
 
 
 def default_grid(support_length: int) -> FrequencyGrid:
@@ -182,12 +189,15 @@ class CertifiedSup:
     """Two-sided certificate for sup |dhat| over the circle, from a grid evaluation.
 
     The upper end is the smaller of two rigorous bounds: the grid maximum plus
-    the Lipschitz slack, and the trivial |dhat(alpha)| <= ||d||_1.
+    the Lipschitz slack, and the trivial |dhat(alpha)| <= ||d||_1.  grid_M is
+    the M of the grid it was read on, None for one built by hand; it is not
+    serialised.
     """
 
     grid_max: float
     lipschitz_slack: float
     l1_norm: float
+    grid_M: int | None = None
 
     def __post_init__(self):
         if self.lipschitz_slack < 0:
@@ -388,7 +398,8 @@ def certify_sup(d: DiscreteSignal, dhat: np.ndarray,
     H = max(abs(d.support_lo), abs(d.support_hi))
     l1 = lp_norm(d, 1)
     slack = 2.0 * np.pi * H * l1 * grid.lipschitz_radius
-    return CertifiedSup(grid_max=grid_max, lipschitz_slack=float(slack), l1_norm=l1)
+    return CertifiedSup(grid_max=grid_max, lipschitz_slack=float(slack), l1_norm=l1,
+                        grid_M=grid.M)
 
 
 def fourier_sup_diff(f: DiscreteSignal, g: DiscreteSignal,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from densemodel import signals
 from densemodel.counting import (
     LinearForm,
     count_brute,
@@ -18,7 +19,16 @@ from densemodel.counting import (
     transfer_error_bound,
 )
 from densemodel.errors import ResourceError, ValidationError
-from densemodel.signals import DiscreteSignal
+from densemodel.majorants import make_random_sparse
+from densemodel.models import hahn_banach_model, hdr_model
+from densemodel.pipeline import select_subset
+from densemodel.signals import (
+    CertifiedSup,
+    DiscreteSignal,
+    FrequencyGrid,
+    default_grid,
+    fourier_sup_diff,
+)
 
 
 def ap3_count(N: int) -> int:
@@ -259,6 +269,14 @@ class TestWrapModulus:
         assert rep.wrap_modulus == 27
         assert rep.total == pytest.approx(count_brute(form, [a, b, a]).total, abs=1e-9)
 
+    @pytest.mark.parametrize("span, match", [(2, "exceeds cap"), (10, "below 2\\^63")])
+    def test_huge_coefficients_refused(self, span, match) -> None:
+        # reach = 2 * 10^18 (span - 1): its modulus passes the cap at span 2,
+        # and no 5-smooth length below 2^63 reaches it at span 10
+        form = LinearForm((10 ** 18, 10 ** 18, -10 ** 18, -10 ** 18))
+        with pytest.raises(ResourceError, match=match):
+            count_weighted(form, [DiscreteSignal(1, np.ones(span))] * 4)
+
 
 class TestDilatedSpectrum:
     @pytest.mark.parametrize("W", [1, 2, 7, 8, 45, 64])
@@ -346,3 +364,68 @@ class TestIntegerRoute:
         form = LinearForm((1, 1, -2))
         with pytest.raises(ValidationError, match="one weight per coefficient"):
             count_integer(form, [DiscreteSignal.interval(5)] * 2)
+
+
+class TestTransferReusesItsGridsCertificate:
+    """`transfer_error_bound` reads a certificate read on its own check grid,
+    the `default_grid` of the window holding f and g, and re-certifies any other."""
+
+    FORM = LinearForm((1, 1, -2))
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        nu = make_random_sparse(300, 2 / 3, 2)
+        f, _ = select_subset(nu, 0.5, "structured", 2)
+        return f, nu
+
+    @staticmethod
+    def transforms(monkeypatch) -> list:
+        """The grid sizes of every `grid_fourier` call from here on."""
+        seen = []
+        original = signals.grid_fourier
+
+        def counted(f, grid):
+            seen.append(grid.M)
+            return original(f, grid)
+
+        monkeypatch.setattr(signals, "grid_fourier", counted)
+        return seen
+
+    @staticmethod
+    def transfer_grid_M(f, g) -> int:
+        return default_grid(max(f.support_hi, g.support_hi)
+                            - min(f.support_lo, g.support_lo) + 1).M
+
+    def test_certificate_on_the_transfer_grid_is_read(self, instance,
+                                                      monkeypatch) -> None:
+        f, nu = instance
+        rep = hdr_model(f, nu, 0.2)
+        assert rep.fourier_err.grid_M == self.transfer_grid_M(f, rep.g)
+        seen = self.transforms(monkeypatch)
+        t = transfer_error_bound(self.FORM, f, rep.g, count_f=1.0, count_g=1.0,
+                                 sup=rep.fourier_err)
+        assert seen == []
+        assert t.sup_err == rep.fourier_err.certified_upper
+
+    def test_hahn_banach_certificate_is_re_read(self, instance, monkeypatch) -> None:
+        f, nu = instance
+        rep = hahn_banach_model(f, nu)
+        M = self.transfer_grid_M(f, rep.g)
+        assert rep.fourier_err.grid_M == 1024 < M
+        expected = fourier_sup_diff(f, rep.g, FrequencyGrid(M)).certified_upper
+        seen = self.transforms(monkeypatch)
+        t = transfer_error_bound(self.FORM, f, rep.g, count_f=1.0, count_g=1.0,
+                                 sup=rep.fourier_err)
+        assert seen == [M]
+        assert t.sup_err == expected
+
+    def test_hand_built_certificate_is_re_read(self, instance, monkeypatch) -> None:
+        f, nu = instance
+        g = hdr_model(f, nu, 0.2).g
+        M = self.transfer_grid_M(f, g)
+        seen = self.transforms(monkeypatch)
+        t = transfer_error_bound(self.FORM, f, g, count_f=1.0, count_g=1.0,
+                                 sup=CertifiedSup(grid_max=0.0, lipschitz_slack=0.0,
+                                                  l1_norm=0.0))
+        assert seen == [M]
+        assert t.sup_err == fourier_sup_diff(f, g, FrequencyGrid(M)).certified_upper

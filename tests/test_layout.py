@@ -35,3 +35,14 @@ def test_no_module_imports_another_modules_private_name() -> None:
     paths = sorted(PACKAGE.glob("*.py"))
     assert len(paths) > 1
     assert [hit for path in paths for hit in private_imports(path)] == []
+
+
+def test_pipeline_reads_no_model_params() -> None:
+    """The pipeline decides nothing on a model's `params`, such as its check grid:
+    a rule about the grid belongs to the module that reads on it."""
+    path = PACKAGE / "pipeline.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    reads = [f"pipeline.py:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "params"
+             and isinstance(node.ctx, ast.Load)]
+    assert reads == []

@@ -596,6 +596,28 @@ class TestReportsAreJsonNative:
         assert _non_json(data) == []
         assert json.loads(canonical_json(data)) == data
 
+    @pytest.mark.parametrize("argv, witness", [
+        (["minimax", "--a-gens", "1,0;0,1", "--b-gens", "1,0;0,1"], None),
+        (["project", "--point", "1,1", "--gens", "1,0;0,1"], True),
+        (["project", "--point", "0.2,0.2", "--gens", "0,0;1,0;0,1"], False),
+    ], ids=["minimax", "project_outside", "project_inside"])
+    def test_cli_output(self, argv, witness, monkeypatch, capsys) -> None:
+        import densemodel.cli as cli
+
+        emitted = []
+        original = cli._emit
+
+        def recorded(data, strict):
+            emitted.append(data)
+            original(data, strict)
+
+        monkeypatch.setattr(cli, "_emit", recorded)
+        assert main(argv) == EXIT_OK
+        (data,) = emitted
+        assert _non_json(data) == []
+        if witness is not None:
+            assert ("witness" in data) is witness
+
 
 class TestImportFootprint:
     def test_smoothing_runs_load_no_scipy(self) -> None:

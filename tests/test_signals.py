@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densemodel.errors import ValidationError
+from densemodel.errors import ResourceError, ValidationError
 from densemodel.signals import (
     CertifiedSup,
     DiscreteSignal,
@@ -226,6 +226,16 @@ class TestNextFastLen:
     @pytest.mark.parametrize("n", [0, -1, -(1 << 70)])
     def test_below_one_refused(self, n) -> None:
         with pytest.raises(ValidationError, match="n >= 1"):
+            next_fast_len(n)
+
+    def test_largest_length_below_2_pow_63_kept(self) -> None:
+        top = 2 ** 25 * 3 ** 2 * 5 ** 15  # the largest 5-smooth number below 2^63
+        assert top < 2 ** 63 and next_fast_len(top) == top
+        assert next_fast_len(top - 1) == top
+
+    @pytest.mark.parametrize("n", [2 ** 25 * 3 ** 2 * 5 ** 15 + 1, 2 ** 63, 1 << 70])
+    def test_past_the_table_refused(self, n) -> None:
+        with pytest.raises(ResourceError, match="below 2\\^63"):
             next_fast_len(n)
 
 
