@@ -1,9 +1,10 @@
 """Golden reports: fixed pipeline configs and CLI calls whose bytes must not move.
 
 Each case's output is compared byte for byte with its file under
-`tests/golden/`.  A change that is meant to move report bytes regenerates the
-files and says why; any other change must leave them as they are.  To write
-the files from the current sources:
+`tests/golden/`.  A CLI case that reads a majorant CSV first writes it with
+`majorant --out` into a temporary directory.  A change that is meant to move
+report bytes regenerates the files and says why; any other change must leave
+them as they are.  To write the files from the current sources:
 
     PYTHONPATH=src python tests/test_golden.py --write
 
@@ -24,6 +25,7 @@ import io
 import json
 import re
 import sys
+import tempfile
 from itertools import zip_longest
 from pathlib import Path
 
@@ -45,24 +47,45 @@ PIPELINE_CASES = {
     "pipeline_green_squares_N1000": dict(N=1000, majorant="squares", variant="green",
                                          eps=0.3, eta=0.3),
     "pipeline_hahn_banach_sparse_N300": dict(N=300, variant="hahn_banach", seed=7),
+    "pipeline_hdr_uniform_random_N500": dict(N=500, majorant="uniform", selection="random",
+                                             variant="hdr", eps=0.2, eta=0.2, seed=7),
 }
 
+# In a CLI case's argv, CSV stands for a file that CSV_ARGV writes first.
+CSV = "<majorant.csv>"
+CSV_ARGV = ["majorant", "--kind", "primes", "--N", "300", "--out", CSV]
 DENSIFY_ARGV = ["densify", "--kind", "sparse", "--N", "300", "--seed", "3",
                 "--eps", "0.25", "--eta", "0.25", "--variant"]
 DENSIFY_CASES = {f"densify_{v}_sparse_N300": DENSIFY_ARGV + [v]
                  for v in ("green", "hdr", "naslund", "hahn_banach")}
+DENSIFY_CASES["densify_hdr_primes_csv_N300"] = ["densify", "--majorant-csv", CSV,
+                                                "--N", "300", "--eps", "0.25",
+                                                "--variant", "hdr"]
+MAJORANT_CASES = {f"majorant_{kind}_N500": ["majorant", "--kind", kind, "--N", "500",
+                                            "--seed", "3", "--diagnose"]
+                  for kind in ("uniform", "sparse", "squares", "primes")}
+CLI_CASES = {**DENSIFY_CASES, **MAJORANT_CASES}
 
 
 def _pipeline_bytes(name: str) -> str:
     return run_pipeline(PipelineConfig(**PIPELINE_CASES[name])).to_json()
 
 
-def _densify_bytes(name: str) -> str:
+def _run_cli(argv: list) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(DENSIFY_CASES[name])
+        code = main(argv)
     assert code == 0
     return out.getvalue()
+
+
+def _cli_bytes(name: str) -> str:
+    argv = CLI_CASES[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "majorant.csv")
+        if CSV in argv:
+            _run_cli([path if a == CSV else a for a in CSV_ARGV])
+        return _run_cli([path if a == CSV else a for a in argv])
 
 
 def _expected(name: str) -> str:
@@ -76,7 +99,12 @@ def test_pipeline_report_matches_golden(name) -> None:
 
 @pytest.mark.parametrize("name", sorted(DENSIFY_CASES))
 def test_densify_output_matches_golden(name) -> None:
-    assert _densify_bytes(name) == _expected(name)
+    assert _cli_bytes(name) == _expected(name)
+
+
+@pytest.mark.parametrize("name", sorted(MAJORANT_CASES))
+def test_majorant_output_matches_golden(name) -> None:
+    assert _cli_bytes(name) == _expected(name)
 
 
 def test_golden_files_are_strict_json() -> None:
@@ -85,7 +113,7 @@ def test_golden_files_are_strict_json() -> None:
         raise ValueError(f"non-finite JSON constant {constant}")
 
     files = sorted(GOLDEN.glob("*.json"))
-    assert len(files) == len(PIPELINE_CASES) + len(DENSIFY_CASES)
+    assert len(files) == len(PIPELINE_CASES) + len(CLI_CASES)
     for path in files:
         json.loads(path.read_text(), parse_constant=refuse)
 
@@ -140,7 +168,7 @@ def field_summary(moves_by_file: dict) -> list[str]:
 
 def _current_outputs() -> dict:
     outputs = {case: _pipeline_bytes(case) for case in sorted(PIPELINE_CASES)}
-    outputs.update({case: _densify_bytes(case) for case in sorted(DENSIFY_CASES)})
+    outputs.update({case: _cli_bytes(case) for case in sorted(CLI_CASES)})
     return outputs
 
 
