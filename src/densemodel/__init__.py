@@ -35,7 +35,6 @@ from .errors import (
 )
 from .majorants import (
     Majorant,
-    MajorantDiagnostics,
     diagnose,
     make_random_sparse,
     make_squares,

@@ -248,13 +248,10 @@ def bohr_enumerate(freqs, eps: float, N: int) -> BohrSet:
 
 
 def bohr_measure(B: BohrSet) -> DiscreteSignal:
-    """sigma = |B|^{-1} 1_B: the normalized counting measure of the Bohr set."""
+    """sigma = |B|^{-1} 1_B, the normalized counting measure of B, on [min B, max B]."""
     if B.size == 0:
         raise ValidationError("cannot normalize an empty Bohr set")
-    lo = int(B.elements[0])
-    vals = np.zeros(int(B.elements[-1]) - lo + 1)
-    vals[B.elements - lo] = 1.0 / B.size
-    return DiscreteSignal(lo, vals)
+    return DiscreteSignal.on_points(B.elements, 1.0 / B.size)
 
 
 def bohr_measure_fourier(B: BohrSet, grid: FrequencyGrid, j) -> np.ndarray:

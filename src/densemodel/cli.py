@@ -70,7 +70,7 @@ def cmd_majorant(args) -> None:
         "metadata": dict(nu.metadata),
     }
     if args.diagnose:
-        data["diagnostics"] = majorants.diagnose(nu).as_dict()
+        data["diagnostics"] = majorants.diagnose(nu)
     _emit(data, args.strict)
 
 

@@ -108,14 +108,14 @@ def project_onto_hull(x, A: PointHull, tol: float = DEFAULT_TOL) -> HullProjecti
         grad = y - x
         scores = gens @ grad
         s = int(np.argmin(scores))
-        gap = float(np.dot(grad, y) - scores[s])
+        grad_y = np.dot(grad, y)
+        gap = float(grad_y - scores[s])  # also the Frank-Wolfe step's improvement
         if gap <= tol * scale:
             break
         active = np.nonzero(lam > 0)[0]
         v = int(active[np.argmax(scores[active])])
-        fw_improve = float(np.dot(grad, y) - scores[s])
-        away_improve = float(scores[v] - np.dot(grad, y))
-        if fw_improve >= away_improve:
+        away_improve = float(scores[v] - grad_y)
+        if gap >= away_improve:
             d = gens[s] - y
             gamma_max = 1.0
             toward, away_from = s, None

@@ -280,12 +280,10 @@ class ThresholdReport:
         return self.size >= self.certified_floor * (1 - 1e-12)
 
     def indicator(self) -> DiscreteSignal:
+        """1_B on [min B, max B]; the zero signal when B is empty."""
         if self.size == 0:
             return DiscreteSignal.zero()
-        lo = int(self.elements[0])
-        vals = np.zeros(int(self.elements[-1]) - lo + 1)
-        vals[self.elements - lo] = 1.0
-        return DiscreteSignal(lo, vals)
+        return DiscreteSignal.on_points(self.elements, 1.0)
 
     def as_dict(self) -> dict:
         return {"size": self.size, "delta": self.delta, "k": self.k,

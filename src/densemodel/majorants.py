@@ -8,6 +8,7 @@ take these numbers as inputs instead of trusting asymptotic constants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -131,34 +132,6 @@ class Majorant:
         return decay.certified_upper / self.N
 
 
-@dataclass(frozen=True)
-class MajorantDiagnostics:
-    """Measured hypothesis levels for one majorant.
-
-    corr[2] is `Majorant.corr2`, the pair correlation over every lag, and
-    restriction_estimate[4.0] is `Majorant.restriction_p4`, the sup over
-    |phi| <= nu up to float rounding.
-    """
-
-    theta_decay: float
-    theta_L2: float
-    theta_Linf: float
-    corr: dict
-    restriction_estimate: dict
-    provenance: dict
-
-    def as_dict(self) -> dict:
-        return {
-            "theta_decay": self.theta_decay,
-            "theta_L2": self.theta_L2,
-            "theta_Linf": self.theta_Linf,
-            "corr": {str(k): v for k, v in sorted(self.corr.items())},
-            "restriction_estimate": {str(k): v for k, v in
-                                     sorted(self.restriction_estimate.items())},
-            "provenance": self.provenance,
-        }
-
-
 def make_uniform(N: int) -> Majorant:
     """nu = 1_[N]: the dense reference weight."""
     if N < 1:
@@ -169,8 +142,8 @@ def make_uniform(N: int) -> Majorant:
 def make_random_sparse(N: int, density_exponent: float, seed: int) -> Majorant:
     """Random S with inclusion probability N^(exponent-1); nu = (N/|S|) 1_S.
 
-    Mass is exactly N by construction.  An empty draw is deterministically
-    resampled with seed+1 and flagged in metadata.
+    nu is stored on [min S, max S], and its mass is N by construction.  An
+    empty draw is deterministically resampled with seed+1 and flagged in metadata.
     """
     if N < 4:
         raise ValidationError("make_random_sparse needs N >= 4")
@@ -188,23 +161,18 @@ def make_random_sparse(N: int, density_exponent: float, seed: int) -> Majorant:
             break
         resampled = True
         use_seed += 1
-    size = int(np.count_nonzero(mask))
-    vals = np.where(mask, N / size, 0.0)
+    S = 1 + np.flatnonzero(mask)
     meta = {"kind": "sparse", "density_exponent": density_exponent,
-            "seed": seed, "support_size": size, "resampled": resampled}
-    return Majorant(DiscreteSignal(1, vals).trimmed(), N, meta)
+            "seed": seed, "support_size": len(S), "resampled": resampled}
+    return Majorant(DiscreteSignal.on_points(S, N / len(S)), N, meta)
 
 
 def make_squares(N: int) -> Majorant:
-    """nu(m^2) = 2m for m^2 <= N; the derivative weight makes the mass ~ N."""
+    """nu(m^2) = 2m for m^2 <= N, on [1, isqrt(N)^2]; this weight makes the mass ~ N."""
     if N < 4:
         raise ValidationError("make_squares needs N >= 4")
-    vals = np.zeros(N)
-    m = 1
-    while m * m <= N:
-        vals[m * m - 1] = 2.0 * m
-        m += 1
-    return Majorant(DiscreteSignal(1, vals).trimmed(), N, {"kind": "squares"})
+    m = np.arange(1, math.isqrt(N) + 1)
+    return Majorant(DiscreteSignal.on_points(m * m, 2.0 * m), N, {"kind": "squares"})
 
 
 def _prime_sieve(N: int) -> np.ndarray:
@@ -217,15 +185,13 @@ def _prime_sieve(N: int) -> np.ndarray:
 
 
 def make_weighted_primes(N: int) -> Majorant:
-    """nu(p) = log p, rescaled so the total mass is exactly N."""
+    """nu(p) = log p on the primes p <= N, rescaled to mass N, on [2, largest p]."""
     if N < 10:
         raise ValidationError("make_weighted_primes needs N >= 10")
     primes = _prime_sieve(N)
     logs = np.log(primes.astype(np.float64))
     scale = N / float(np.sum(logs))
-    vals = np.zeros(N)
-    vals[primes - 1] = logs * scale
-    return Majorant(DiscreteSignal(1, vals).trimmed(), N, {"kind": "primes"})
+    return Majorant(DiscreteSignal.on_points(primes, logs * scale), N, {"kind": "primes"})
 
 
 def max_lag_correlation(nu: Majorant, lags) -> float:
@@ -254,14 +220,20 @@ def max_lag_correlation(nu: Majorant, lags) -> float:
     return best
 
 
-def diagnose(nu: Majorant) -> MajorantDiagnostics:
-    """Measure every hypothesis level; the restriction moment is taken at p = 4."""
+def diagnose(nu: Majorant) -> dict:
+    """Every hypothesis level of nu, as the JSON-native block reports print.
+
+    corr["2"] is `Majorant.corr2`, the pair correlation over every lag;
+    restriction_estimate["4.0"] is `Majorant.restriction_p4`, the sup over
+    |phi| <= nu up to float rounding; theta_decay is read on the grid that
+    provenance names.
+    """
     grid = default_grid(nu.N)
-    return MajorantDiagnostics(
-        theta_decay=nu.theta_decay(grid),
-        theta_L2=nu.theta_L2,
-        theta_Linf=nu.theta_Linf,
-        corr={2: nu.corr2},  # over every lag
-        restriction_estimate={4.0: nu.restriction_p4},
-        provenance={"grid_M": grid.M},
-    )
+    return {
+        "theta_decay": nu.theta_decay(grid),
+        "theta_L2": nu.theta_L2,
+        "theta_Linf": nu.theta_Linf,
+        "corr": {"2": nu.corr2},
+        "restriction_estimate": {"4.0": nu.restriction_p4},
+        "provenance": {"grid_M": grid.M},
+    }

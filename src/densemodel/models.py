@@ -205,9 +205,7 @@ def _positive_differences(B: BohrSet) -> np.ndarray:
     fft_rounding_bound(MAX_CONV_LENGTH, |B|) <= 3.1e-6 for every autocorrelation
     under the convolution cap, so the cut at 1/2 is exact.
     """
-    elems = B.elements
-    ind = np.zeros(int(elems[-1] - elems[0]) + 1)
-    ind[elems - elems[0]] = 1.0
+    ind = DiscreteSignal.on_points(B.elements, 1.0).values
     # entry len(ind) - 1 + d of 1_B convolved with its reversal counts lag d
     auto = convolve(DiscreteSignal(0, ind), DiscreteSignal(0, ind[::-1])).values
     return np.nonzero(auto[len(ind):] > 0.5)[0] + 1

@@ -226,7 +226,7 @@ def run_model(variant: str, f: DiscreteSignal, nu: Majorant, *, eps: float,
 
 def select_subset(nu: Majorant, delta: float, selection: str,
                   seed: int) -> tuple[DiscreteSignal, int]:
-    """f = 1_A nu for A of relative density delta inside supp nu.
+    """f = 1_A nu on [min A, max A], for A of relative density delta in supp nu.
 
     Structured mode keeps every ceil(1/delta)-th support element in increasing
     order; random mode draws a seeded uniform subset of size round(delta * |S|).
@@ -243,10 +243,8 @@ def select_subset(nu: Majorant, delta: float, selection: str,
         size = max(0, min(len(supp), round(delta * len(supp))))
         if size == 0:
             return DiscreteSignal.zero(), 0
-        chosen = np.sort(rng.choice(supp, size=size, replace=False))
-    vals = np.zeros_like(sig.values)
-    vals[chosen] = sig.values[chosen]
-    return DiscreteSignal(sig.support_lo, vals).trimmed(), len(chosen)
+        chosen = rng.choice(supp, size=size, replace=False)
+    return DiscreteSignal.on_points(sig.support_lo + chosen, sig.values[chosen]), len(chosen)
 
 
 def _stage(name: str, fn, *args, **kwargs):
@@ -311,7 +309,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineReport:
             "support_size": int(np.count_nonzero(nu.signal.values)),
             "metadata": dict(nu.metadata),
         },
-        "diagnostics": diag.as_dict(),
+        "diagnostics": diag,
         "subset": {"size": subset_size, "selection": cfg.selection,
                    "delta": cfg.delta, "mass_f": model.mass_f},
         "model": model.as_dict(),

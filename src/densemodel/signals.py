@@ -90,19 +90,33 @@ class DiscreteSignal:
         """Indicator of [1, N]."""
         return DiscreteSignal.indicator(1, N)
 
+    @staticmethod
+    def on_points(points, values) -> "DiscreteSignal":
+        """`values` (one number, or one per point) on the distinct integers
+        `points`, given in any order, and 0 elsewhere in [min points, max points].
+
+        Repeats are not checked for: a repeated point keeps one of its values.
+        """
+        try:
+            pts = np.asarray(points, dtype=np.int64)
+        except OverflowError as e:
+            raise ValidationError("signal points must fit in int64") from e
+        if pts.ndim != 1 or pts.size == 0:
+            raise ValidationError("signal needs a one-dimensional, non-empty point array")
+        lo = int(pts.min())
+        vals = np.zeros(int(pts.max()) - lo + 1)
+        try:
+            vals[pts - lo] = values
+        except ValueError as e:
+            raise ValidationError(f"signal values do not match its points: {e}") from e
+        return DiscreteSignal(lo, vals)
+
     @property
     def is_zero(self) -> bool:
         return not np.any(self.values)
 
     def scaled(self, c: float) -> "DiscreteSignal":
         return DiscreteSignal(self.support_lo, self.values * float(c))
-
-    def trimmed(self) -> "DiscreteSignal":
-        """Drop zero margins (keeps at least one entry)."""
-        nz = np.nonzero(self.values)[0]
-        if len(nz) == 0:
-            return DiscreteSignal.zero()
-        return DiscreteSignal(self.support_lo + int(nz[0]), self.values[nz[0]:nz[-1] + 1])
 
 
 def align(f: DiscreteSignal, g: DiscreteSignal) -> tuple[int, np.ndarray, np.ndarray]:
@@ -413,7 +427,8 @@ def write_csv(f: DiscreteSignal, path) -> None:
     """Signal file format: header `n,value`, one row per support point.
 
     Zero entries are not support points and get no row, so `read_csv` gives
-    back `f.trimmed()` exactly; a zero signal is the header alone.
+    back f exactly, on the window from its first to its last nonzero entry; a
+    zero signal is the header alone.
     """
     try:
         with open(path, "w", newline="") as fh:
@@ -427,7 +442,8 @@ def write_csv(f: DiscreteSignal, path) -> None:
 
 
 def read_csv(path) -> DiscreteSignal:
-    """Read the `n,value` format; rows may be in any order, absent n means 0."""
+    """Read the `n,value` format on [least n, greatest n]; rows may be in any
+    order, absent n means 0, and a span over the cap is refused unallocated."""
     entries = {}
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -456,7 +472,7 @@ def read_csv(path) -> DiscreteSignal:
     if hi - lo + 1 > MAX_CONV_LENGTH:
         raise ResourceError(
             f"{path}: index span [{lo}, {hi}] exceeds cap {MAX_CONV_LENGTH}")
-    vals = np.zeros(hi - lo + 1)
-    for n, v in entries.items():
-        vals[n - lo] = v
-    return DiscreteSignal(lo, vals)
+    try:
+        return DiscreteSignal.on_points(list(entries), list(entries.values()))
+    except ValidationError as e:  # an index outside int64
+        raise ValidationError(f"{path}: {e}") from e

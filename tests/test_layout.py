@@ -1,13 +1,21 @@
-"""The package's modules reach one another only through public names."""
+"""The package's modules reach one another only through public names, and the
+benchmark's tracer names only functions that exist."""
 
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
+from collections import defaultdict
 from pathlib import Path
 
 import densemodel
 
 PACKAGE = Path(densemodel.__file__).resolve().parent
+TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+# spans that name no public function: a method, linprog's span, and a metric
+# whose function is gone and that only a benchmark change may drop
+UNTRACED_SPANS = {"pipeline.to_json", "models.hb.lp", "majorants.max_correlation"}
 
 
 def private_imports(path: Path) -> list:
@@ -46,3 +54,42 @@ def test_pipeline_reads_no_model_params() -> None:
              if isinstance(node, ast.Attribute) and node.attr == "params"
              and isinstance(node.ctx, ast.Load)]
     assert reads == []
+
+
+class _ReadKeys(defaultdict):
+    """A defaultdict that records every key read from it."""
+
+    def __init__(self, default, read: set):
+        super().__init__(default)
+        self.read = read
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def test_benchmark_traced_names_exist(monkeypatch) -> None:
+    """Every span the benchmark's per-layer metrics read names a function the
+    tracer wraps: a renamed or removed function would leave its metric at 0."""
+    spec = importlib.util.spec_from_file_location("benchmark_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+
+    layers = {layer: importlib.import_module(f"densemodel.{layer}")
+              for layer in tracing.LAYERS}
+    before = {layer: tracing.public_functions(m) for layer, m in layers.items()}
+    undo = tracing.install(tracing.Tracer())
+    tracing.restore(undo)
+    assert {layer: tracing.public_functions(m) for layer, m in layers.items()} == before
+
+    assert set(tracing.MODEL_FUNCTIONS) <= set(before["models"])
+
+    read = set()
+    monkeypatch.setattr(tracing, "_spans_by_name", lambda spans: (
+        _ReadKeys(int, read), _ReadKeys(float, read), _ReadKeys(float, read), 0.0))
+    tracing.layer_metrics([], {}, {}, 0)
+    assert "majorants.diagnose" in read
+    spans = (name.partition(".") for name in sorted(read - UNTRACED_SPANS))
+    missing = [f"{layer}.{fname}" for layer, _, fname in spans
+               if fname not in before.get(layer, {})]
+    assert missing == []

@@ -71,6 +71,17 @@ class TestConstructors:
         # mass sum 2m over m^2 <= 30 is 2+4+6+8+10 = 30
         assert nu.l1_mass == 30.0
 
+    @pytest.mark.parametrize("N", [4, 15, 16, 17, 1000, 1024])
+    def test_squares_match_the_loop(self, N) -> None:
+        # reference: one entry per m while m^2 <= N, on the window [1, last square]
+        vals = []
+        m = 1
+        while m * m <= N:
+            vals += [0.0] * (m * m - len(vals) - 1) + [2.0 * m]
+            m += 1
+        sig = make_squares(N).signal
+        assert sig.support_lo == 1 and sig.values.tolist() == vals
+
     def test_primes_mass_rescaled_to_N(self) -> None:
         nu = make_weighted_primes(100)
         assert nu.l1_mass == pytest.approx(100.0, rel=1e-12)
@@ -117,19 +128,19 @@ class TestDiagnose:
     def test_uniform_levels(self) -> None:
         nu = make_uniform(64)
         d = diagnose(nu)
-        assert d.theta_decay <= 1e-6  # only grid slack
-        assert d.theta_L2 == pytest.approx(1 / 64)
-        assert d.theta_Linf == pytest.approx(1 / 64)
+        assert d["theta_decay"] <= 1e-6  # only grid slack
+        assert d["theta_L2"] == pytest.approx(1 / 64)
+        assert d["theta_Linf"] == pytest.approx(1 / 64)
 
     def test_sparse_levels_and_provenance(self) -> None:
         nu = make_random_sparse(400, 2 / 3, seed=9)
         d = diagnose(nu)
         size = nu.metadata["support_size"]
-        assert d.theta_Linf == pytest.approx(1 / size)
+        assert d["theta_Linf"] == pytest.approx(1 / size)
         # sum nu^2 = |S| (N/|S|)^2 = N^2/|S|
-        assert d.theta_L2 == pytest.approx(1 / size)
-        assert set(d.corr) == {2}
-        assert d.provenance == {"grid_M": default_grid(400).M}
+        assert d["theta_L2"] == pytest.approx(1 / size)
+        assert set(d["corr"]) == {"2"}
+        assert d["provenance"] == {"grid_M": default_grid(400).M}
 
     def test_restriction_estimate_is_lower_bound_at_nu(self) -> None:
         # the moment of nuhat itself: on a grid of M >= 2 span - 1 points,
@@ -143,7 +154,7 @@ class TestDiagnose:
         moment = float((quartic[0] + 2 * np.sum(quartic[1:1024]) + quartic[1024]) / 2048)
         assert nu.restriction_p4 == pytest.approx(moment * nu.N / nu.l1_mass ** 4,
                                                   rel=1e-12)
-        assert diagnose(nu).restriction_estimate == {4.0: nu.restriction_p4}
+        assert diagnose(nu)["restriction_estimate"] == {"4.0": nu.restriction_p4}
 
     @given(st.integers(min_value=10, max_value=60),
            st.integers(min_value=0, max_value=50))
@@ -208,7 +219,7 @@ class TestDiagnoseComputes:
         N = 3000
         nu = make_random_sparse(N, 2 / 3, seed=0)
         d = diagnose(nu)
-        assert d.corr[2] == max_lag_correlation(nu, np.arange(1, N)) / N
+        assert d["corr"]["2"] == max_lag_correlation(nu, np.arange(1, N)) / N
 
     def test_one_restriction_transform_and_no_sampled_correlation(self,
                                                                   monkeypatch) -> None:
@@ -216,7 +227,7 @@ class TestDiagnoseComputes:
         # p = 4 moment takes none, and no level draws a random number
         import densemodel.signals as signals
 
-        expected = diagnose(make_random_sparse(2000, 2 / 3, seed=1)).as_dict()
+        expected = diagnose(make_random_sparse(2000, 2 / 3, seed=1))
         nu = make_random_sparse(2000, 2 / 3, seed=1)  # no level measured yet
         seen = []
         original = signals.grid_fourier
@@ -232,7 +243,7 @@ class TestDiagnoseComputes:
             if name.startswith("densemodel") and vars(module).get("grid_fourier") is original:
                 monkeypatch.setattr(module, "grid_fourier", recorded)
         monkeypatch.setattr(np.random, "default_rng", unexpected)
-        assert diagnose(nu).as_dict() == expected
+        assert diagnose(nu) == expected
         assert seen == [(False, 8 * nu.N)]
 
 
@@ -243,7 +254,7 @@ class TestRestrictionGrid:
         # off the autocorrelation and takes no grid
         N = 2000
         nu = make_random_sparse(N, 2 / 3, seed=0)
-        short = diagnose(nu).restriction_estimate[4.0]
+        short = diagnose(nu)["restriction_estimate"]["4.0"]
         assert short == nu.restriction_p4
         # the exact integral: int |nuhat|^4 = ||nu * nu||_2^2
         auto = np.convolve(nu.signal.values, nu.signal.values)

@@ -62,10 +62,32 @@ class TestDiscreteSignal:
         f = DiscreteSignal(3, np.array([1.0, 2.0]))
         assert f(2) == 0.0 and f(3) == 1.0 and f(4) == 2.0 and f(5) == 0.0
 
-    def test_trimmed_drops_zero_margins(self) -> None:
-        f = DiscreteSignal(0, np.array([0.0, 0.0, 3.0, 0.0]))
-        g = f.trimmed()
-        assert g.support_lo == 2 and list(g.values) == [3.0]
+    @given(st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=20,
+                    unique=True), st.booleans(), st.booleans(), st.data())
+    def test_on_points_matches_hand_built_window(self, points, per_point, as_array,
+                                                 data) -> None:
+        # the points come in draw order, so mostly unsorted
+        value = st.floats(min_value=-5, max_value=5, allow_nan=False)
+        values = (data.draw(st.lists(value, min_size=len(points), max_size=len(points)))
+                  if per_point else data.draw(value))
+        lo, hi = min(points), max(points)
+        window = np.zeros(hi - lo + 1)
+        for i, n in enumerate(points):
+            window[n - lo] = values[i] if per_point else values
+        f = DiscreteSignal.on_points(np.array(points) if as_array else points, values)
+        assert (f.support_lo, f.support_hi) == (lo, hi)
+        assert np.array_equal(f.values, window)
+
+    @pytest.mark.parametrize("points", [[], np.zeros(0, dtype=np.int64), [[1, 2]]])
+    def test_on_points_needs_a_non_empty_point_list(self, points) -> None:
+        with pytest.raises(ValidationError):
+            DiscreteSignal.on_points(points, 1.0)
+
+    def test_on_points_refuses_mismatched_values_and_huge_points(self) -> None:
+        with pytest.raises(ValidationError, match="do not match"):
+            DiscreteSignal.on_points([3, 1, 2], [1.0, 2.0])
+        with pytest.raises(ValidationError, match="int64"):
+            DiscreteSignal.on_points([10 ** 30], 1.0)
 
     def test_interval_is_indicator_of_1_to_N(self) -> None:
         f = DiscreteSignal.interval(4)
@@ -338,15 +360,23 @@ class TestCsvRoundTrip:
         path = tmp_path_factory.mktemp("csv") / "sig.csv"
         write_csv(f, path)
         g = read_csv(path)
-        h = f.trimmed()
-        assert g.support_lo == h.support_lo or h.is_zero
-        if not h.is_zero:
-            assert np.array_equal(g.values, h.values)
+        nz = np.flatnonzero(f.values)
+        if len(nz) == 0:
+            assert g.is_zero
+        else:  # f without its zero margins
+            assert g.support_lo == f.support_lo + nz[0]
+            assert np.array_equal(g.values, f.values[nz[0]:nz[-1] + 1])
 
     def test_rejects_duplicate_index(self, tmp_path) -> None:
         path = tmp_path / "dup.csv"
         path.write_text("n,value\n1,1.0\n1,2.0\n")
         with pytest.raises(ValidationError):
+            read_csv(path)
+
+    def test_index_past_int64_refused(self, tmp_path) -> None:
+        path = tmp_path / "huge.csv"
+        path.write_text(f"n,value\n{10 ** 30},1.0\n")
+        with pytest.raises(ValidationError, match="int64"):
             read_csv(path)
 
     def test_header_required(self, tmp_path) -> None:
