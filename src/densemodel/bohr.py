@@ -6,9 +6,9 @@ covered interval whose representative is within eta/(4*pi*N), the radius
 under which |fhat| can drop by at most half the threshold.  A real f has a
 symmetric spectrum and ||n(-alpha)|| = ||n alpha||, so only the half circle
 j <= M/2 is kept: B(S, eps) = B(S cap [0, 1/2], eps).  The fine grid is
-searched coarse to fine: a certified Taylor bound on the cells of f's check
-grid rules out every fine point of most cells, and only the rest are summed
-directly, unless one fine FFT costs less.  Bohr sets are enumerated by direct
+searched coarse to fine: a certified Taylor bound on the cells of a grid of
+at least 8 len f points rules out every fine point of most cells, and only
+the rest are summed directly, unless one fine FFT costs less.  Bohr sets are enumerated by direct
 scan, which at desk scale is exact, and carry the pigeonhole lower-bound
 certificate.
 """
@@ -124,10 +124,11 @@ def spectrum(f: DiscreteSignal, nu: Majorant, eta: float,
 def _candidates(f: DiscreteSignal, M: int, level: float) -> np.ndarray | None:
     """Fine indices j <= M/2 whose coarse cell may hold a |fhat| >= level.
 
-    The coarse grid is `default_grid(len f)`, of M0 points; the cell of a
-    coarse point a is |x - a| <= h = 1/(2 M0), and the cells cover the
-    circle.  Re-centring f to half-width H leaves |fhat| as it is, and
-    Taylor's theorem gives on the cell
+    The coarse grid is `default_grid(2 len f)`: its M0 points are the first
+    5-smooth length at or above max(4096, 8 len f); the cell of a coarse
+    point a is |x - a| <= h = 1/(2 M0), and the cells cover the circle.  Re-centring f
+    to half-width H leaves |fhat| as it is, and Taylor's theorem gives on
+    the cell
 
         |fhat(x)| <= |fhat(a)| + |fhat'(a)| h + (2 pi H)^2 ||f||_1 h^2 / 2,
 
@@ -143,7 +144,7 @@ def _candidates(f: DiscreteSignal, M: int, level: float) -> np.ndarray | None:
     directly, DIRECT_TERM_COST per term of points x |supp f|, would cost
     more than one fine FFT, M log2 M.
     """
-    coarse = default_grid(len(f.values))
+    coarse = default_grid(2 * len(f.values))
     M0 = coarse.M
     if M0 >= M:
         return None

@@ -18,7 +18,6 @@ from .errors import ResourceError, ValidationError
 from .signals import (
     MAX_CONV_LENGTH,
     DiscreteSignal,
-    FrequencyGrid,
     convolve,
     default_grid,
     exact_sum,
@@ -35,9 +34,9 @@ class Majorant:
     """Nonnegative weight nu supported in [1, N] with mass within [N/2, 2N].
 
     The levels the constructions read are measured on first read and kept, as
-    the signal is read-only: the mass, theta_Linf, theta_L2, nu on its
-    window, the window autocorrelation, and the all-lag corr2 and p = 4
-    moment read off it.  A window [1, N] whose autocorrelation, 2N - 1
+    the signal is read-only: the mass, theta_Linf, theta_L2, theta_decay,
+    nu on its window, the window autocorrelation, and the all-lag corr2 and
+    p = 4 moment read off it.  A window [1, N] whose autocorrelation, 2N - 1
     points, is longer than the convolution cap is refused first, before any
     of them allocates it.
     """
@@ -126,9 +125,12 @@ class Majorant:
         a = self.autocorrelation
         return exact_sum(a * a) * self.N / self.l1_mass ** 4
 
-    def theta_decay(self, grid: FrequencyGrid) -> float:
-        """Certified sup over the circle of |nuhat - 1_[N]hat| / N, from `grid`."""
-        decay = fourier_sup_diff(self.signal, DiscreteSignal.interval(self.N), grid)
+    @cached_property
+    def theta_decay(self) -> float:
+        """Certified sup over the circle of |nuhat - 1_[N]hat| / N, read on
+        `default_grid(N)`: diagnose and green_model both read this one value."""
+        decay = fourier_sup_diff(self.signal, DiscreteSignal.interval(self.N),
+                                 default_grid(self.N))
         return decay.certified_upper / self.N
 
 
@@ -228,12 +230,11 @@ def diagnose(nu: Majorant) -> dict:
     |phi| <= nu up to float rounding; theta_decay is read on the grid that
     provenance names.
     """
-    grid = default_grid(nu.N)
     return {
-        "theta_decay": nu.theta_decay(grid),
+        "theta_decay": nu.theta_decay,
         "theta_L2": nu.theta_L2,
         "theta_Linf": nu.theta_Linf,
         "corr": {"2": nu.corr2},
         "restriction_estimate": {"4.0": nu.restriction_p4},
-        "provenance": {"grid_M": grid.M},
+        "provenance": {"grid_M": default_grid(nu.N).M},
     }

@@ -29,6 +29,7 @@ from .signals import (
     convolve,
     default_grid,
     grid_fourier,
+    grid_fourier_rounding,
     lp_norm,
     subtract,
 )
@@ -52,6 +53,7 @@ class DenseModelReport:
     g: DiscreteSignal = field(repr=False)
     fourier_err: CertifiedSup
     g_linf: float
+    g_l2: float  # sum of g^2, which g_l2_over_N divides by N; not in as_dict
     g_l2_over_N: float
     mass_f: float
     mass_g: float
@@ -97,10 +99,10 @@ def _report(variant: str, params: dict, f: DiscreteSignal, nu: Majorant,
             claims: list) -> DenseModelReport:
     """The report of one construction; its norms and masses are read off f and g,
     and its `grid_M` off the grid its Fourier certificate was read on."""
+    l2 = _power_sum(g, 2)
     return DenseModelReport(
         variant=variant, params={**params, "grid_M": err.grid_M}, g=g,
-        fourier_err=err, g_linf=lp_norm(g, np.inf),
-        g_l2_over_N=_power_sum(g, 2) / nu.N,
+        fourier_err=err, g_linf=lp_norm(g, np.inf), g_l2=l2, g_l2_over_N=l2 / nu.N,
         mass_f=float(np.sum(f.values)), mass_g=float(np.sum(g.values)),
         checks=checks, flags=flags, claims=claims)
 
@@ -131,7 +133,8 @@ def _smoothing(variant: str, f: DiscreteSignal, nu: Majorant, eps: float,
     fhat = grid_fourier(f, grid)
     sighat = grid_fourier(sigma, grid)
     ghat = grid_fourier(g, grid)
-    err = certify_sup(subtract(f, g), fhat - ghat, grid)
+    err = certify_sup(subtract(f, g), fhat - ghat, grid,
+                      grid_fourier_rounding(f, grid) + grid_fourier_rounding(g, grid))
     fmod = np.abs(fhat)
     sig_pow = sighat ** power
     off = fmod < spec.threshold
@@ -179,7 +182,7 @@ def green_model(f: DiscreteSignal, nu: Majorant, eps: float, eta: float,
     """g = f * sigma * sigma: the doubly smoothed, L^inf-bounded approximant."""
     report, B, _ = _smoothing("green", f, nu, eps, eta, power=2, strict=strict)
     # instance form of the L^inf chain: g <= 1 + theta_decay * N / |B|
-    theta_decay = nu.theta_decay(FrequencyGrid(report.fourier_err.grid_M))
+    theta_decay = nu.theta_decay
     return _bounded(report, "g_linf", "linf", report.g_linf,
                     1.0 + theta_decay * nu.N / B.size, theta_decay=theta_decay)
 
@@ -190,7 +193,7 @@ def hdr_model(f: DiscreteSignal, nu: Majorant, eps: float,
     report, B, _ = _smoothing("hdr", f, nu, eps, eps, power=1, strict=strict)
     theta_L2 = nu.theta_L2
     corr2 = nu.corr2  # exact: every shift m != 0 is tested
-    l2 = _power_sum(report.g, 2)
+    l2 = report.g_l2
     # proof split: diagonal pairs give theta_L2 N^2 / |B|, off-diagonal corr2 N
     return _bounded(report, "g_l2", "l2", l2,
                     theta_L2 * nu.N ** 2 / B.size + 2.0 * corr2 * nu.N,
@@ -413,7 +416,9 @@ def hahn_banach_model(f: DiscreteSignal, nu: Majorant,
         ghat = grid_fourier(DiscreteSignal(1, g_vals), grid)
     converged = not violated
     g = DiscreteSignal(1, g_vals)
-    err = certify_sup(subtract(f, g), fhat - ghat, grid)  # ghat is g's, at j <= M/2
+    # ghat is g's, at j <= M/2
+    err = certify_sup(subtract(f, g), fhat - ghat, grid,
+                      grid_fourier_rounding(f, grid) + grid_fourier_rounding(g, grid))
     flags = [] if converged else ["row_generation_cap_reached"]
     checks = {
         "t_star": t_star,

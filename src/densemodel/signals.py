@@ -3,9 +3,19 @@
 A signal is stored on an explicit integer window [lo, hi]; everything outside
 is implicitly zero.  Fourier evaluation uses the e(x) = exp(2*pi*i*x)
 convention, so fhat(alpha) = sum_n f(n) e(alpha n).  Sup-norm statements about
-fhat are certified on finite grids via a Lipschitz slack derived from
-|fhat'| <= 2*pi*H*||f||_1, H = max |n| over the support, and are never above
-the trivial bound |fhat| <= ||f||_1.
+fhat are certified from its values on a grid of M points j/M by the smallest of
+three bounds: the trivial |fhat| <= ||f||_1; a Lipschitz slack from |fhat'| <=
+2*pi*H*||f||_1, H = max |n| over the window; and, when M > 2 H_c, the
+multiplicative bound sup |fhat| <= (grid max + rho) / cos(pi H_c / M).  Here
+H_c = ceil((hi - lo)/2) is the half-width of the window [lo, hi] about an
+integer centre c, so each Re(e^{-i psi} e(-c alpha) fhat(alpha)) is a real
+trigonometric polynomial T of degree H_c, and rho bounds the rounding of the
+grid values.  The multiplicative bound is the inequality T'^2 + n^2 T^2 <=
+n^2 ||T||_inf^2 for a real trigonometric polynomial of degree n (van der
+Corput and Schaake 1935, after Szego 1928): where T(x0) = ||T||_inf, it gives
+T(x0 + x) >= ||T||_inf cos(n x) for |x| <= pi/n, and every angle 2 pi alpha
+lies within pi/M of a grid angle.  Ehlich and Zeller (1964) give the same grid
+bound.
 """
 
 from __future__ import annotations
@@ -190,12 +200,14 @@ def default_grid(support_length: int) -> FrequencyGrid:
     """The check grid of a signal on `support_length` points.
 
     M is the first 5-smooth length (a fast real FFT) at or above
-    max(4096, 8 * support_length).  Rounding up never coarsens the grid, so
-    the Lipschitz slack of `certify_sup` is no larger than at 8 *
-    support_length, and no transform takes numpy's slow path for a length
-    with a large prime factor.
+    max(4096, 4 * support_length).  A window of support_length points has
+    half-width H_c <= support_length / 2 about an integer centre, so
+    pi H_c / M <= pi / 8 and the multiplicative bound of `certify_sup` is at
+    most grid max / cos(pi/8) ~ 1.082 grid max (plus rounding).  Rounding up
+    never coarsens the grid, and no transform takes numpy's slow path for a
+    length with a large prime factor.
     """
-    return FrequencyGrid(next_fast_len(max(4096, 8 * max(1, support_length))))
+    return FrequencyGrid(next_fast_len(max(4096, 4 * max(1, support_length))))
 
 
 @dataclass(frozen=True)
@@ -203,9 +215,10 @@ class CertifiedSup:
     """Two-sided certificate for sup |dhat| over the circle, from a grid evaluation.
 
     The upper end is the smaller of two rigorous bounds: the grid maximum plus
-    the Lipschitz slack, and the trivial |dhat(alpha)| <= ||d||_1.  grid_M is
-    the M of the grid it was read on, None for one built by hand; it is not
-    serialised.
+    lipschitz_slack, and the trivial |dhat(alpha)| <= ||d||_1.  The key keeps
+    its name, but `certify_sup` stores in it the margin of the smaller of its
+    Lipschitz and multiplicative bounds over grid_max.  grid_M is the M of
+    the grid it was read on, None for one built by hand; it is not serialised.
     """
 
     grid_max: float
@@ -397,30 +410,54 @@ def convolve(f: DiscreteSignal, g: DiscreteSignal) -> DiscreteSignal:
     return DiscreteSignal(f.support_lo + g.support_lo, vals)
 
 
-def certify_sup(d: DiscreteSignal, dhat: np.ndarray,
-                grid: FrequencyGrid) -> CertifiedSup:
+def certify_sup(d: DiscreteSignal, dhat: np.ndarray, grid: FrequencyGrid,
+                rho: float) -> CertifiedSup:
     """Certified bracket for ||dhat||_inf over the whole circle, from dhat on the grid.
 
     dhat holds d's transform at the grid points j/M, or at j <= M/2 only (d is
-    real, so the other half has the same moduli).  grid_max is attained on the
-    grid, hence a valid lower bound; the upper bound adds the derivative slack
-    2*pi*H*||d||_1 * (1/(2M)), or is ||d||_1 itself when that is smaller.
+    real, so the other half has the same moduli), each within rho of its
+    exact value: rho is the `grid_fourier_rounding` bound of the transform(s)
+    dhat was formed from.  grid_max is attained on the grid, hence a valid
+    lower bound.  The upper bound is the least of three:
+
+    - the Lipschitz bound grid_max + 2*pi*H*||d||_1 * (1/(2M)), H = max |n|
+      over d's window [lo, hi];
+    - ||d||_1 itself;
+    - when M > 2 H_c, H_c = ceil((hi - lo)/2): (grid_max + rho) /
+      cos(pi H_c / M), rounded up.  This is the van der Corput-Schaake
+      (Szego) inequality T'^2 + n^2 T^2 <= n^2 ||T||_inf^2 for the real
+      trigonometric polynomials T = Re(e^{-i psi} e(-c alpha) dhat(alpha)) of
+      degree n = H_c, c = lo + floor((hi - lo)/2): T >= ||T||_inf cos(pi H_c
+      / M) at the grid point nearest a maximum, and the exact grid values are
+      at most grid_max + rho.
+
+    lipschitz_slack holds the margin of the smaller of the first and third
+    over grid_max.
     """
-    if grid.M < 2:
+    M = grid.M
+    if M < 2:
         raise ValidationError("a Fourier sup certificate needs a grid with M >= 2")
     grid_max = float(np.max(np.abs(dhat)))
     H = max(abs(d.support_lo), abs(d.support_hi))
     l1 = lp_norm(d, 1)
     slack = 2.0 * np.pi * H * l1 * grid.lipschitz_radius
+    H_c = -(-(d.support_hi - d.support_lo) // 2)
+    if M > 2 * H_c:
+        # cos(pi H_c / M) = sin(pi (M - 2 H_c) / (2M)), which keeps a relative
+        # error of a few ulps however near M is to 2 H_c; 16 u rounds up past
+        # them and past the few roundings of the quotient and of grid_max + slack
+        cos = math.sin(math.pi * (M - 2 * H_c) / (2 * M))
+        upper = (grid_max + rho) / cos * (1.0 + 16.0 * UNIT_ROUNDOFF)
+        slack = min(slack, upper - grid_max)
     return CertifiedSup(grid_max=grid_max, lipschitz_slack=float(slack), l1_norm=l1,
-                        grid_M=grid.M)
+                        grid_M=M)
 
 
 def fourier_sup_diff(f: DiscreteSignal, g: DiscreteSignal,
                      grid: FrequencyGrid) -> CertifiedSup:
     """Certified bracket for ||fhat - ghat||_inf: `certify_sup` of d = f - g."""
     d = subtract(f, g)
-    return certify_sup(d, grid_fourier(d, grid), grid)
+    return certify_sup(d, grid_fourier(d, grid), grid, grid_fourier_rounding(d, grid))
 
 
 def write_csv(f: DiscreteSignal, path) -> None:

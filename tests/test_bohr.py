@@ -259,7 +259,7 @@ def _selected(kind: str, N: int):
 
 
 def _odd_coarse_grid():
-    # len f = 684, so the coarse grid is default_grid(684) = 5625 = 3^2 5^4
+    # len f = 684, so the coarse grid is default_grid(2 684) = 5625 = 3^2 5^4
     nu = make_random_sparse(700, 2 / 3, seed=0)
     return nu.signal, nu
 
@@ -303,7 +303,7 @@ class TestCoarseToFineSpectrum:
         assert np.array_equal(spec.interval_indices,
                               full_grid_oracle(f, spec.threshold, spec.M))
         assert spec.r > 0
-        M0 = default_grid(len(f.values)).M
+        M0 = default_grid(2 * len(f.values)).M
         if name == "odd-M":
             assert spec.M == 84_375
         if name == "odd-M0":

@@ -223,7 +223,7 @@ class TestDiagnoseComputes:
 
     def test_one_restriction_transform_and_no_sampled_correlation(self,
                                                                   monkeypatch) -> None:
-        # the one transform is theta_decay's, of nu - 1_[N] on its 8N grid; the
+        # the one transform is theta_decay's, of nu - 1_[N] on default_grid(N); the
         # p = 4 moment takes none, and no level draws a random number
         import densemodel.signals as signals
 
@@ -244,7 +244,7 @@ class TestDiagnoseComputes:
                 monkeypatch.setattr(module, "grid_fourier", recorded)
         monkeypatch.setattr(np.random, "default_rng", unexpected)
         assert diagnose(nu) == expected
-        assert seen == [(False, 8 * nu.N)]
+        assert seen == [(False, default_grid(nu.N).M)]
 
 
 class TestRestrictionGrid:

@@ -23,10 +23,13 @@ from densemodel.pipeline import select_subset
 from densemodel.signals import (
     DiscreteSignal,
     align,
+    default_grid,
     FrequencyGrid,
     fourier_eval,
     grid_fourier,
+    grid_fourier_rounding,
     lp_norm,
+    subtract,
 )
 
 
@@ -103,6 +106,22 @@ class TestHdr:
         assert rep.checks["l2_ok"]
         assert rep.checks["l2_sum"] <= rep.checks["l2_bound"] * (1 + 1e-9)
         assert rep.params["eta"] == rep.params["eps"]
+
+    def test_g_squared_summed_once(self, sparse_instance, monkeypatch) -> None:
+        # g_l2_over_N and the L^2 claim read one sum of g^2
+        f, nu = sparse_instance
+        calls = []
+        power_sum = models._power_sum
+
+        def counted(sig, k):
+            calls.append(k)
+            return power_sum(sig, k)
+
+        monkeypatch.setattr(models, "_power_sum", counted)
+        rep = hdr_model(f, nu, eps=0.2)
+        assert calls == [2]
+        assert rep.checks["l2_sum"] == rep.g_l2 == float(np.sum(rep.g.values ** 2))
+        assert rep.g_l2_over_N == rep.g_l2 / nu.N
 
     def test_single_convolution_profile(self, sparse_instance) -> None:
         f, nu = sparse_instance
@@ -227,18 +246,39 @@ class TestHahnBanach:
         assert rep.fourier_err.certified_upper <= 0.03 * 80
 
     def test_certificate_capped_by_l1_distance(self) -> None:
-        # the N=300, seed 7 golden instance: on the M = 1024 grid the slack
-        # 2 pi H ||d||_1 / (2M) is about 0.9 ||d||_1 at H = 300, so grid_max plus
-        # slack exceeds the trivial bound |fhat - ghat| <= ||f - g||_1
+        # the N=300, seed 7 golden instance: d = f - g lies on [1, 300], so
+        # H_c = 150 < M/2 = 512, and the multiplicative bound (grid_max + rho) /
+        # cos(pi 150 / 1024) beats both the trivial bound |fhat - ghat| <=
+        # ||f - g||_1 and the Lipschitz slack 2 pi H ||d||_1 / (2M), about
+        # 0.9 ||d||_1 at H = 300
         nu = make_random_sparse(300, 2 / 3, seed=7)
         f, _ = select_subset(nu, 0.5, "structured", 7)
         rep = hahn_banach_model(f, nu)
         err = rep.fourier_err
         _, fv, gv = align(f, rep.g)
         assert err.l1_norm == pytest.approx(float(np.sum(np.abs(fv - gv))), rel=1e-12)
-        assert err.certified_upper == err.l1_norm
-        assert err.certified_upper < err.grid_max + err.lipschitz_slack
+        grid = FrequencyGrid(1024)
+        rho = grid_fourier_rounding(f, grid) + grid_fourier_rounding(rep.g, grid)
+        multiplicative = (err.grid_max + rho) / math.cos(math.pi * 150 / 1024)
+        assert err.certified_upper == pytest.approx(multiplicative, rel=1e-12)
+        assert err.certified_upper < err.l1_norm
+        assert err.certified_upper < err.grid_max + 2 * math.pi * 300 * err.l1_norm / 2048
         assert rep.checks["t_upper"] == err.certified_upper
+
+    def test_certificate_on_a_grid_of_at_most_2_H_c_points(self) -> None:
+        # N=2000, seed 7: d = f - g lies on [1, 2000], so H_c = 1000 and the
+        # 1024-point LP grid has M <= 2 H_c.  The multiplicative bound does not
+        # apply: the slack is the Lipschitz one at H = 2000, and the cap
+        # ||d||_1 binds
+        nu = make_random_sparse(2000, 2 / 3, seed=7)
+        f, _ = select_subset(nu, 0.5, "structured", 7)
+        rep = hahn_banach_model(f, nu)
+        err = rep.fourier_err
+        grid = FrequencyGrid(1024)
+        assert err.grid_M == grid.M
+        assert err.lipschitz_slack == 2.0 * math.pi * 2000 * err.l1_norm * grid.lipschitz_radius
+        assert err.certified_upper == err.l1_norm < err.grid_max + err.lipschitz_slack
+        assert rep.checks["t_upper"] == err.l1_norm
 
     def test_rows_on_half_grid_without_mirror_repeats(self, sparse_instance,
                                                       monkeypatch) -> None:
@@ -291,6 +331,37 @@ class TestHahnBanach:
         # g is feasible, so the certified sup of |fhat - ghat| holds off the grid too
         for alpha in np.random.default_rng(6).random(64):
             assert abs(fourier_eval(f, alpha) - fourier_eval(rep.g, alpha)) <= t_upper
+
+
+class TestSmoothingCertificate:
+    """Each smoothing's certified sup |fhat - ghat| against the maximum on 2^21
+    points of the circle, less that transform's rounding bound."""
+
+    MODELS = {
+        "green": lambda f, nu: green_model(f, nu, eps=0.2, eta=0.2),
+        "hdr": lambda f, nu: hdr_model(f, nu, eps=0.2),
+        "naslund": lambda f, nu: naslund_model(f, nu, k=3, p=4.0),
+    }
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        nu = make_random_sparse(2000, 2 / 3, seed=7)
+        f, _ = select_subset(nu, 0.5, "structured", 7)
+        return f, nu
+
+    @pytest.mark.parametrize("variant", sorted(MODELS))
+    def test_upper_holds_and_is_within_cos_pi_8(self, instance, variant) -> None:
+        f, nu = instance
+        rep = self.MODELS[variant](f, nu)
+        err = rep.fourier_err
+        grid = FrequencyGrid(err.grid_M)
+        assert grid == default_grid(rep.g.support_hi - rep.g.support_lo + 1)
+        d = subtract(f, rep.g)
+        brute = FrequencyGrid(1 << 21)
+        top = float(np.max(np.abs(grid_fourier(d, brute)))) - grid_fourier_rounding(d, brute)
+        rho = grid_fourier_rounding(f, grid) + grid_fourier_rounding(rep.g, grid)
+        assert top <= err.certified_upper
+        assert err.certified_upper <= err.grid_max * 1.0824 + 2 * rho
 
 
 class TestClamp:

@@ -345,6 +345,43 @@ class TestEachTransformOnce:
         run_pipeline(PipelineConfig(N=500, variant=variant, eps=0.2, eta=0.2, seed=7))
         assert len(seen) == len(set(seen))
 
+    def test_check_grids_at_4_span_and_coarse_pass_at_8_len_f(self, monkeypatch) -> None:
+        # outside the spectrum's coarse pass, the largest transform of a run
+        # whose spectrum is summed directly is on the check grid, the first
+        # 5-smooth length at or above 4 span(g); the coarse pass stays at
+        # 8 len f, where its candidate sums beat one fine FFT
+        import densemodel.bohr as bohr_mod
+        from densemodel import signals
+
+        seen = []
+        running = []  # holds len f while a coarse pass runs
+        passes = []
+        original = signals.grid_fourier
+        candidates = bohr_mod._candidates
+
+        def recorded(f, grid):
+            seen.append((bool(running), grid.M))
+            return original(f, grid)
+
+        def coarse_pass(f, M, level):
+            running.append(len(f.values))
+            passes.append(len(f.values))
+            try:
+                return candidates(f, M, level)
+            finally:
+                running.pop()
+
+        _rebind_everywhere(monkeypatch, original, recorded)
+        monkeypatch.setattr(bohr_mod, "_candidates", coarse_pass)
+        rep = run_pipeline(PipelineConfig(N=2000, variant="hdr", eps=0.2, eta=0.2, seed=0))
+        lo, hi = rep.data["model"]["g_support"]
+        check_M = signals.next_fast_len(max(4096, 4 * (hi - lo + 1)))
+        assert len(passes) == 1
+        assert {M for during, M in seen if during} == {
+            signals.next_fast_len(max(4096, 8 * passes[0]))}
+        assert max(M for during, M in seen if not during) == check_M
+        assert rep.data["model"]["params"]["grid_M"] == check_M
+
     @pytest.mark.parametrize("variant", ["green", "hdr", "naslund"])
     def test_every_transform_has_a_5_smooth_length(self, monkeypatch, variant) -> None:
         # a length with a prime factor above 5 takes numpy's Bluestein path

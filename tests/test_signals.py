@@ -15,6 +15,7 @@ from densemodel.signals import (
     DiscreteSignal,
     FrequencyGrid,
     add,
+    certify_sup,
     convolve,
     default_grid,
     exact_sum,
@@ -22,6 +23,7 @@ from densemodel.signals import (
     fourier_eval,
     fourier_sup_diff,
     grid_fourier,
+    grid_fourier_rounding,
     lp_norm,
     next_fast_len,
     read_csv,
@@ -197,10 +199,10 @@ class TestCertifiedSup:
 
     def test_default_grid_floor(self) -> None:
         assert default_grid(10).M >= 4096
-        assert default_grid(10 ** 4).M >= 8 * 10 ** 4
+        assert default_grid(10 ** 4).M >= 4 * 10 ** 4
 
-    @pytest.mark.parametrize("L, M", [(10, 4096), (2801, 22_500),
-                                      (25136, 202_500), (69996, 562_500)])
+    @pytest.mark.parametrize("L, M", [(10, 4096), (2801, 11_250),
+                                      (25136, 101_250), (69996, 281_250)])
     def test_default_grid_is_first_5_smooth_length(self, L, M) -> None:
         def smooth(n):
             for p in (2, 3, 5):
@@ -208,10 +210,60 @@ class TestCertifiedSup:
                     n //= p
             return n == 1
 
-        need = max(4096, 8 * L)
+        need = max(4096, 4 * L)
         assert default_grid(L).M == M
         assert smooth(M) and M >= need
         assert not any(smooth(m) for m in range(need, M))
+
+
+BRUTE_GRID = FrequencyGrid(1 << 21)
+
+
+class TestMultiplicativeCertificate:
+    """`certify_sup` against the maximum of |dhat| on 2^21 points of the circle,
+    less the rounding bound of that transform."""
+
+    @staticmethod
+    def brute(d: DiscreteSignal) -> float:
+        top = float(np.max(np.abs(grid_fourier(d, BRUTE_GRID))))
+        return top - grid_fourier_rounding(d, BRUTE_GRID)
+
+    @staticmethod
+    def signal(lo: int, length: int, kind: str) -> DiscreteSignal:
+        rng = np.random.default_rng(length)
+        if kind == "gaussian":
+            return DiscreteSignal(lo, rng.standard_normal(length))
+        # a cosine peaked halfway between two default-grid points: grid_max
+        # misses its sup by as much as any grid point can
+        beta = (0.5 + int(rng.integers(1, 50))) / default_grid(length).M
+        n = np.arange(lo, lo + length)
+        return DiscreteSignal(lo, np.cos(2 * np.pi * beta * n + rng.random()))
+
+    @pytest.mark.parametrize("kind", ["gaussian", "mid-cell cosine"])
+    @pytest.mark.parametrize("lo, length", [(-700, 1), (-700, 2), (-350, 301),
+                                            (-1000, 800), (-12, 25), (5000, 1200),
+                                            (-3, 4096)])
+    def test_upper_holds_and_is_within_cos_pi_8(self, lo, length, kind) -> None:
+        d = self.signal(lo, length, kind)
+        brute = self.brute(d)
+        grid = default_grid(length)
+        rho = grid_fourier_rounding(d, grid)
+        est = certify_sup(d, grid_fourier(d, grid), grid, rho)
+        assert brute <= est.certified_upper
+        # default_grid has M >= 4 length > 2 H_c, so the factor is <= 1/cos(pi/8)
+        assert est.certified_upper <= est.grid_max * 1.0824 + 2 * rho
+
+    @pytest.mark.parametrize("extra", [1, 2, 7, 150])
+    def test_upper_holds_on_grids_just_above_2_H_c(self, extra) -> None:
+        # H_c = 150 for 301 points; M = 2 H_c + extra leaves cos(pi H_c / M) small
+        d = self.signal(-350, 301, "gaussian")
+        brute = self.brute(d)
+        grid = FrequencyGrid(300 + extra)
+        rho = grid_fourier_rounding(d, grid)
+        est = certify_sup(d, grid_fourier(d, grid), grid, rho)
+        multiplicative = (est.grid_max + rho) / math.cos(math.pi * 150 / grid.M)
+        assert brute <= est.certified_upper
+        assert est.certified_upper <= max(est.grid_max, multiplicative * (1 + 1e-12))
 
 
 class TestNextFastLen:
