@@ -153,7 +153,7 @@ def _candidates(f: DiscreteSignal, M: int, level: float) -> np.ndarray | None:
     H = max(-int(n[0]), int(n[-1]))
     centred = DiscreteSignal(f.support_lo - c, f.values)
     moment = DiscreteSignal(f.support_lo - c, n * f.values)
-    h = coarse.lipschitz_radius
+    h = 0.5 / M0
     value = (np.abs(grid_fourier(centred, coarse))
              + grid_fourier_rounding(centred, coarse))
     slope = 2.0 * math.pi * (np.abs(grid_fourier(moment, coarse))

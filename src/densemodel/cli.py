@@ -175,11 +175,11 @@ def _add_common(p: argparse.ArgumentParser, *, tol: bool = False,
                    help="exit nonzero on any capping or flag")
 
 
-def _add_majorant_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kind", default="sparse",
+def _add_majorant_opts(p: argparse.ArgumentParser, defaults: PipelineConfig) -> None:
+    p.add_argument("--kind", default=defaults.majorant,
                    choices=pipeline.MAJORANT_KINDS)
     p.add_argument("--N", type=int)
-    p.add_argument("--exponent", type=float, default=2.0 / 3.0)
+    p.add_argument("--exponent", type=float, default=defaults.exponent)
     p.add_argument("--majorant-csv", default="",
                    help="load the majorant from a CSV signal instead")
 
@@ -190,9 +190,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bounded approximants, Bohr sets, and certified solution "
                     "counting for sparse weighted sets.")
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = PipelineConfig()
 
     p = sub.add_parser("majorant", help="build and diagnose a majorant")
-    _add_majorant_opts(p)
+    _add_majorant_opts(p, defaults)
     p.add_argument("--diagnose", action="store_true")
     p.add_argument("--out", default="", help="write the signal as CSV")
     _add_common(p, seed=True)
@@ -208,14 +209,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_bohr)
 
     p = sub.add_parser("densify", help="build a bounded approximant g of f")
-    _add_majorant_opts(p)
-    p.add_argument("--variant", default="hdr",
+    _add_majorant_opts(p, defaults)
+    p.add_argument("--variant", default=defaults.variant,
                    choices=pipeline.VARIANTS)
     p.add_argument("--signal", default="", help="CSV for f (default: f = nu)")
-    p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--eta", type=float, default=0.1)
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--p", type=float, default=4.0)
+    p.add_argument("--eps", type=float, default=defaults.eps)
+    p.add_argument("--eta", type=float, default=defaults.eta)
+    p.add_argument("--k", type=int, default=defaults.k)
+    p.add_argument("--p", type=float, default=defaults.p)
     p.add_argument("--g-out", default="", help="write g as CSV")
     _add_common(p, tol=True, seed=True)
     p.set_defaults(fn=cmd_densify)

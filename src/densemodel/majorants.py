@@ -29,6 +29,15 @@ from .signals import (
 MASS_WINDOW = (0.5, 2.0)  # allowed l1_mass / N range
 
 
+def _check_window(N: int) -> None:
+    """Refuse a window [1, N] whose autocorrelation, 2N - 1 points, is longer
+    than the convolution cap; each maker asks before it allocates."""
+    if 2 * N - 1 > MAX_CONV_LENGTH:
+        raise ResourceError(
+            f"majorant window [1, {N}] exceeds cap {MAX_CONV_LENGTH}: "
+            f"its autocorrelation has {2 * N - 1} points")
+
+
 @dataclass(frozen=True)
 class Majorant:
     """Nonnegative weight nu supported in [1, N] with mass within [N/2, 2N].
@@ -46,10 +55,7 @@ class Majorant:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if 2 * self.N - 1 > MAX_CONV_LENGTH:
-            raise ResourceError(
-                f"majorant window [1, {self.N}] exceeds cap {MAX_CONV_LENGTH}: "
-                f"its autocorrelation has {2 * self.N - 1} points")
+        _check_window(self.N)
         if self.N < 1:
             raise ValidationError("majorant needs N >= 1")
         if np.any(self.signal.values < 0):
@@ -138,6 +144,7 @@ def make_uniform(N: int) -> Majorant:
     """nu = 1_[N]: the dense reference weight."""
     if N < 1:
         raise ValidationError("make_uniform needs N >= 1")
+    _check_window(N)
     return Majorant(DiscreteSignal.interval(N), N, {"kind": "uniform"})
 
 
@@ -153,6 +160,7 @@ def make_random_sparse(N: int, density_exponent: float, seed: int) -> Majorant:
         raise ValidationError("density_exponent must lie in (0, 1]")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
+    _check_window(N)
     prob = float(N) ** (density_exponent - 1.0)
     resampled = False
     use_seed = seed
@@ -173,6 +181,7 @@ def make_squares(N: int) -> Majorant:
     """nu(m^2) = 2m for m^2 <= N, on [1, isqrt(N)^2]; this weight makes the mass ~ N."""
     if N < 4:
         raise ValidationError("make_squares needs N >= 4")
+    _check_window(N)
     m = np.arange(1, math.isqrt(N) + 1)
     return Majorant(DiscreteSignal.on_points(m * m, 2.0 * m), N, {"kind": "squares"})
 
@@ -190,6 +199,7 @@ def make_weighted_primes(N: int) -> Majorant:
     """nu(p) = log p on the primes p <= N, rescaled to mass N, on [2, largest p]."""
     if N < 10:
         raise ValidationError("make_weighted_primes needs N >= 10")
+    _check_window(N)
     primes = _prime_sieve(N)
     logs = np.log(primes.astype(np.float64))
     scale = N / float(np.sum(logs))

@@ -26,7 +26,7 @@ from .counting import (
     threshold_extract,
     transfer_error_bound,
 )
-from .errors import DenseModelError, ResourceError, ValidationError
+from .errors import DenseModelError, ValidationError
 from .majorants import (
     Majorant,
     diagnose,
@@ -41,7 +41,7 @@ from .models import (
     hdr_model,
     naslund_model,
 )
-from .signals import MAX_CONV_LENGTH, DiscreteSignal
+from .signals import DiscreteSignal
 
 SCHEMA_VERSION = "tlab-report/2"
 
@@ -163,8 +163,11 @@ class PipelineConfig:
         return cfg
 
     def write(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_text())
+        try:
+            with open(path, "w") as fh:
+                fh.write(self.to_text())
+        except OSError as e:
+            raise ValidationError(f"{path}: cannot write: {e.strerror}") from e
 
     @classmethod
     def read(cls, path) -> "PipelineConfig":
@@ -205,16 +208,8 @@ def _entry(table: dict, name: str, what: str):
 
 
 def build_majorant(kind: str, N: int, exponent: float, seed: int) -> Majorant:
-    """The majorant of one of MAJORANT_KINDS; exponent and seed apply to sparse.
-
-    A window [1, N] whose autocorrelation, 2N - 1 points, is longer than the
-    convolution cap is refused before anything is allocated.
-    """
-    make = _entry(_MAJORANT_MAKERS, kind, "majorant")
-    if 2 * N - 1 > MAX_CONV_LENGTH:
-        raise ResourceError(f"majorant window [1, {N}] exceeds cap {MAX_CONV_LENGTH}: "
-                            f"its autocorrelation has {2 * N - 1} points")
-    return make(N, exponent=exponent, seed=seed)
+    """The majorant of one of MAJORANT_KINDS; exponent and seed apply to sparse."""
+    return _entry(_MAJORANT_MAKERS, kind, "majorant")(N, exponent=exponent, seed=seed)
 
 
 def run_model(variant: str, f: DiscreteSignal, nu: Majorant, *, eps: float,

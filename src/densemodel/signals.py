@@ -3,9 +3,8 @@
 A signal is stored on an explicit integer window [lo, hi]; everything outside
 is implicitly zero.  Fourier evaluation uses the e(x) = exp(2*pi*i*x)
 convention, so fhat(alpha) = sum_n f(n) e(alpha n).  Sup-norm statements about
-fhat are certified from its values on a grid of M points j/M by the smallest of
-three bounds: the trivial |fhat| <= ||f||_1; a Lipschitz slack from |fhat'| <=
-2*pi*H*||f||_1, H = max |n| over the window; and, when M > 2 H_c, the
+fhat are certified from its values on a grid of M points j/M by the smaller of
+two bounds: the trivial |fhat| <= ||f||_1 and, when M > 2 H_c, the
 multiplicative bound sup |fhat| <= (grid max + rho) / cos(pi H_c / M).  Here
 H_c = ceil((hi - lo)/2) is the half-width of the window [lo, hi] about an
 integer centre c, so each Re(e^{-i psi} e(-c alpha) fhat(alpha)) is a real
@@ -160,11 +159,6 @@ class FrequencyGrid:
         if self.M < 1:
             raise ValidationError("frequency grid needs M >= 1")
 
-    @property
-    def lipschitz_radius(self) -> float:
-        """Half the grid spacing: no point of the circle is further from the grid."""
-        return 0.5 / self.M
-
 
 @functools.cache
 def _five_smooth_lengths() -> list:
@@ -216,9 +210,9 @@ class CertifiedSup:
 
     The upper end is the smaller of two rigorous bounds: the grid maximum plus
     lipschitz_slack, and the trivial |dhat(alpha)| <= ||d||_1.  The key keeps
-    its name, but `certify_sup` stores in it the margin of the smaller of its
-    Lipschitz and multiplicative bounds over grid_max.  grid_M is the M of
-    the grid it was read on, None for one built by hand; it is not serialised.
+    its name, but `certify_sup` stores in it the margin of its multiplicative
+    bound over grid_max, capped at ||d||_1.  grid_M is the M of the grid it
+    was read on, None for one built by hand; it is not serialised.
     """
 
     grid_max: float
@@ -418,29 +412,24 @@ def certify_sup(d: DiscreteSignal, dhat: np.ndarray, grid: FrequencyGrid,
     real, so the other half has the same moduli), each within rho of its
     exact value: rho is the `grid_fourier_rounding` bound of the transform(s)
     dhat was formed from.  grid_max is attained on the grid, hence a valid
-    lower bound.  The upper bound is the least of three:
+    lower bound.  The upper bound is the smaller of ||d||_1 and, when
+    M > 2 H_c, H_c = ceil((hi - lo)/2) the half-width of d's window [lo, hi],
+    (grid_max + rho) / cos(pi H_c / M), rounded up.  This is the van der
+    Corput-Schaake (Szego) inequality T'^2 + n^2 T^2 <= n^2 ||T||_inf^2 for
+    the real trigonometric polynomials T = Re(e^{-i psi} e(-c alpha)
+    dhat(alpha)) of degree n = H_c, c = lo + floor((hi - lo)/2): T >=
+    ||T||_inf cos(pi H_c / M) at the grid point nearest a maximum, and the
+    exact grid values are at most grid_max + rho.
 
-    - the Lipschitz bound grid_max + 2*pi*H*||d||_1 * (1/(2M)), H = max |n|
-      over d's window [lo, hi];
-    - ||d||_1 itself;
-    - when M > 2 H_c, H_c = ceil((hi - lo)/2): (grid_max + rho) /
-      cos(pi H_c / M), rounded up.  This is the van der Corput-Schaake
-      (Szego) inequality T'^2 + n^2 T^2 <= n^2 ||T||_inf^2 for the real
-      trigonometric polynomials T = Re(e^{-i psi} e(-c alpha) dhat(alpha)) of
-      degree n = H_c, c = lo + floor((hi - lo)/2): T >= ||T||_inf cos(pi H_c
-      / M) at the grid point nearest a maximum, and the exact grid values are
-      at most grid_max + rho.
-
-    lipschitz_slack holds the margin of the smaller of the first and third
-    over grid_max.
+    lipschitz_slack holds the multiplicative bound's margin over grid_max,
+    capped at ||d||_1, or ||d||_1 itself when M <= 2 H_c.
     """
     M = grid.M
     if M < 2:
         raise ValidationError("a Fourier sup certificate needs a grid with M >= 2")
     grid_max = float(np.max(np.abs(dhat)))
-    H = max(abs(d.support_lo), abs(d.support_hi))
     l1 = lp_norm(d, 1)
-    slack = 2.0 * np.pi * H * l1 * grid.lipschitz_radius
+    slack = l1
     H_c = -(-(d.support_hi - d.support_lo) // 2)
     if M > 2 * H_c:
         # cos(pi H_c / M) = sin(pi (M - 2 H_c) / (2M)), which keeps a relative
@@ -449,8 +438,7 @@ def certify_sup(d: DiscreteSignal, dhat: np.ndarray, grid: FrequencyGrid,
         cos = math.sin(math.pi * (M - 2 * H_c) / (2 * M))
         upper = (grid_max + rho) / cos * (1.0 + 16.0 * UNIT_ROUNDOFF)
         slack = min(slack, upper - grid_max)
-    return CertifiedSup(grid_max=grid_max, lipschitz_slack=float(slack), l1_norm=l1,
-                        grid_M=M)
+    return CertifiedSup(grid_max=grid_max, lipschitz_slack=slack, l1_norm=l1, grid_M=M)
 
 
 def fourier_sup_diff(f: DiscreteSignal, g: DiscreteSignal,

@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densemodel.errors import ResourceError, ValidationError
+import densemodel
+from densemodel.errors import EXIT_RESOURCE, ResourceError, ValidationError
 from densemodel.majorants import (
     Majorant,
     diagnose,
@@ -110,6 +114,37 @@ class TestConstructors:
         nu = make_squares(30)
         assert nu.window.tolist() == [nu.signal(n) for n in range(1, 31)]
         assert not nu.window.flags.writeable
+
+
+def _in_one_gib(call: str) -> subprocess.CompletedProcess:
+    """`densemodel.majorants.<call>` in a child process limited to 1 GiB of
+    address space; a `ResourceError` prints its message and exits 3."""
+    code = ("import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from densemodel import majorants\n"
+            "from densemodel.errors import ResourceError\n"
+            f"try:\n    majorants.{call}\n"
+            "except ResourceError as e:\n    print(e)\n    sys.exit(e.exit_code)\n")
+    src = str(Path(densemodel.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestMakersRefuseOversizedWindows:
+    """Each maker asks the window cap before it allocates an N-sized array."""
+
+    @pytest.mark.parametrize("call, N", [
+        ("make_uniform(2 ** 30)", 2 ** 30),
+        ("make_random_sparse(2 ** 30, 0.5, 0)", 2 ** 30),
+        ("make_weighted_primes(2 ** 30)", 2 ** 30),
+        ("make_squares(2 ** 40)", 2 ** 40),
+    ], ids=["uniform", "sparse", "primes", "squares"])
+    def test_resource_error_not_memory_error(self, call, N) -> None:
+        done = _in_one_gib(call)
+        assert done.returncode == EXIT_RESOURCE, done.stderr
+        assert done.stdout == (f"majorant window [1, {N}] exceeds cap 16777216: "
+                               f"its autocorrelation has {2 * N - 1} points\n")
 
 
 class TestCorrelations:

@@ -268,15 +268,14 @@ class TestHahnBanach:
     def test_certificate_on_a_grid_of_at_most_2_H_c_points(self) -> None:
         # N=2000, seed 7: d = f - g lies on [1, 2000], so H_c = 1000 and the
         # 1024-point LP grid has M <= 2 H_c.  The multiplicative bound does not
-        # apply: the slack is the Lipschitz one at H = 2000, and the cap
-        # ||d||_1 binds
+        # apply: the slack and the upper are the cap ||d||_1
         nu = make_random_sparse(2000, 2 / 3, seed=7)
         f, _ = select_subset(nu, 0.5, "structured", 7)
         rep = hahn_banach_model(f, nu)
         err = rep.fourier_err
         grid = FrequencyGrid(1024)
         assert err.grid_M == grid.M
-        assert err.lipschitz_slack == 2.0 * math.pi * 2000 * err.l1_norm * grid.lipschitz_radius
+        assert err.lipschitz_slack == err.l1_norm
         assert err.certified_upper == err.l1_norm < err.grid_max + err.lipschitz_slack
         assert rep.checks["t_upper"] == err.l1_norm
 

@@ -81,6 +81,11 @@ class TestConfig:
         with pytest.raises(Exception, match="delta"):
             PipelineConfig.from_text("delta = 1.5\n")
 
+    def test_write_into_missing_directory_refused(self, tmp_path) -> None:
+        path = tmp_path / "absent" / "run.cfg"
+        with pytest.raises(ValidationError, match=f"{path}: cannot write: "):
+            PipelineConfig().write(path)
+
     @pytest.mark.parametrize("line", ["grid_m = 0", "output = x"])
     def test_grid_and_output_are_unknown_keys(self, line) -> None:
         # every grid follows from the input, and only `pipeline --out` writes a report
@@ -575,9 +580,9 @@ class TestOversizedWindows:
     @pytest.mark.parametrize("command", ["pipeline", "densify"])
     def test_pipeline_and_densify_check_the_cap(self, monkeypatch, capsys,
                                                 command) -> None:
-        import densemodel.pipeline as pipeline_mod
+        import densemodel.majorants as majorants_mod
 
-        monkeypatch.setattr(pipeline_mod, "MAX_CONV_LENGTH", 1000)
+        monkeypatch.setattr(majorants_mod, "MAX_CONV_LENGTH", 1000)
         assert main([command, "--N", "1001"]) == EXIT_RESOURCE
         assert "majorant window [1, 1001] exceeds cap 1000" in capsys.readouterr().err
 
@@ -715,6 +720,21 @@ class TestCliPipelineOptions:
         assert parser.parse_args(["densify"]).seed == 0
         assert main(["pipeline", "--N", "200", "--variant", "green"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["config"]["seed"] == 0
+
+    @pytest.mark.parametrize("command", ["majorant", "densify"])
+    def test_option_defaults_are_the_config_defaults(self, command) -> None:
+        # an absent --N reads N = 1000, or the --majorant-csv window's end
+        from densemodel.cli import build_parser
+
+        args = vars(build_parser().parse_args([command]))
+        cfg = PipelineConfig()
+        shared = [name for name in vars(cfg) if name in args and name != "N"]
+        assert args["kind"] == cfg.majorant
+        assert {name: args[name] for name in shared} == {name: getattr(cfg, name)
+                                                         for name in shared}
+        if command == "densify":
+            assert set(shared) == {"exponent", "seed", "variant", "eps", "eta",
+                                   "k", "p", "tol", "strict"}
 
     def test_config_strict_exits_on_a_flag(self, tmp_path, capsys) -> None:
         path = tmp_path / "strict.cfg"

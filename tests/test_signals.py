@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from densemodel.errors import ResourceError, ValidationError
 from densemodel.signals import (
+    UNIT_ROUNDOFF,
     CertifiedSup,
     DiscreteSignal,
     FrequencyGrid,
@@ -264,6 +265,81 @@ class TestMultiplicativeCertificate:
         multiplicative = (est.grid_max + rho) / math.cos(math.pi * 150 / grid.M)
         assert brute <= est.certified_upper
         assert est.certified_upper <= max(est.grid_max, multiplicative * (1 + 1e-12))
+
+
+def three_bound_upper(d: DiscreteSignal, dhat: np.ndarray, grid: FrequencyGrid,
+                      rho: float) -> float:
+    """Oracle: the least of a Lipschitz bound, ||d||_1 and the multiplicative
+    bound, as `certify_sup` took it before the Lipschitz bound was dropped.
+
+    The Lipschitz bound is grid_max + 2 pi H ||d||_1 / (2M), H = max |n| over
+    d's window, from |dhat'| <= 2 pi H ||d||_1 and every point of the circle
+    lying within 1/(2M) of the grid.
+    """
+    M = grid.M
+    grid_max = float(np.max(np.abs(dhat)))
+    H = max(abs(d.support_lo), abs(d.support_hi))
+    l1 = lp_norm(d, 1)
+    slack = 2.0 * np.pi * H * l1 * (0.5 / M)
+    H_c = -(-(d.support_hi - d.support_lo) // 2)
+    if M > 2 * H_c:
+        cos = math.sin(math.pi * (M - 2 * H_c) / (2 * M))
+        upper = (grid_max + rho) / cos * (1.0 + 16.0 * UNIT_ROUNDOFF)
+        slack = min(slack, upper - grid_max)
+    return max(grid_max, min(grid_max + float(slack), l1))
+
+
+class TestCertificateWithoutLipschitzBound:
+    """The two-bound certificate against the three-bound oracle: the Lipschitz
+    bound never decided, on any window, grid or signal below."""
+
+    LENGTHS = (1, 2, 3, 8, 101, 1000, 5000)
+    STARTS = ("at zero", "far right", "far left")
+
+    @staticmethod
+    def grids(length: int, rng) -> list:
+        H_c = length // 2
+        sizes = {2, 3, 2 * H_c, 2 * H_c + 1, 2 * H_c + 2, 3 * H_c + 5,
+                 default_grid(length).M, 1 << 20, int(rng.integers(2, 1 << 20))}
+        return [FrequencyGrid(M) for M in sorted(sizes) if M >= 2]
+
+    @staticmethod
+    def signal(start: str, length: int, kind: str, rng) -> DiscreteSignal:
+        lo = {"at zero": 0, "far right": 10 ** 6, "far left": -(10 ** 6)}[start]
+        lo -= length if start == "far left" else 0
+        if kind == "zero":
+            return DiscreteSignal(lo, np.zeros(length))
+        if kind == "single point":
+            vals = np.zeros(length)
+            vals[int(rng.integers(length))] = rng.standard_normal()
+            return DiscreteSignal(lo, vals)
+        return DiscreteSignal(lo, rng.standard_normal(length))
+
+    @pytest.mark.parametrize("kind", ["gaussian", "zero", "single point"])
+    @pytest.mark.parametrize("start", STARTS)
+    def test_upper_equals_the_three_bound_oracle(self, start, kind) -> None:
+        rng = np.random.default_rng(25)
+        cases = 0
+        for length in self.LENGTHS:
+            d = self.signal(start, length, kind, rng)
+            for grid in self.grids(length, rng):
+                dhat = grid_fourier(d, grid)
+                rho = grid_fourier_rounding(d, grid)
+                est = certify_sup(d, dhat, grid, rho)
+                where = (length, grid.M)
+                assert est.certified_upper == three_bound_upper(d, dhat, grid, rho), where
+                assert est.lipschitz_slack <= est.l1_norm, where
+                cases += 1
+        assert cases >= 50
+
+    def test_zero_difference_has_zero_slack(self) -> None:
+        # g = f: rho, the rounding of f's and g's transforms, is not 0, and
+        # the cap ||d||_1 = 0 keeps the margin (grid_max + rho) / cos at 0
+        for M in (2, 7, 4096):
+            d = DiscreteSignal(-3, np.zeros(9))
+            grid = FrequencyGrid(M)
+            est = certify_sup(d, grid_fourier(d, grid), grid, 1e-9)
+            assert est.lipschitz_slack == est.certified_upper == 0.0
 
 
 class TestNextFastLen:
