@@ -55,7 +55,7 @@ def _load_majorant(args) -> majorants.Majorant:
         sig = read_csv(args.majorant_csv)
         N = sig.support_hi if args.N is None else args.N
         return majorants.Majorant(sig, N, {"kind": "file"})
-    N = 1000 if args.N is None else args.N
+    N = PipelineConfig().N if args.N is None else args.N
     return pipeline.build_majorant(args.kind, N, args.exponent, args.seed)
 
 
@@ -178,7 +178,8 @@ def _add_common(p: argparse.ArgumentParser, *, tol: bool = False,
 def _add_majorant_opts(p: argparse.ArgumentParser, defaults: PipelineConfig) -> None:
     p.add_argument("--kind", default=defaults.majorant,
                    choices=pipeline.MAJORANT_KINDS)
-    p.add_argument("--N", type=int)
+    p.add_argument("--N", type=int,
+                   help=f"default {defaults.N}, or the --majorant-csv window's end")
     p.add_argument("--exponent", type=float, default=defaults.exponent)
     p.add_argument("--majorant-csv", default="",
                    help="load the majorant from a CSV signal instead")

@@ -189,14 +189,20 @@ def green_model(f: DiscreteSignal, nu: Majorant, eps: float, eta: float,
 
 def hdr_model(f: DiscreteSignal, nu: Majorant, eps: float,
               strict: bool = False) -> DenseModelReport:
-    """g = f * sigma with eta = eps: the singly smoothed, L^2-bounded approximant."""
+    """g = f * sigma with eta = eps: the singly smoothed, L^2-bounded approximant.
+
+    Its claim is sum g^2 <= theta_L2 N^2 / |B| + corr2 N (1 - 1/|B|).  Since
+    0 <= f <= nu, g(n) <= |B|^-1 sum_{b in B} nu(n - b), so with R(m) = sum_n
+    nu(n) nu(n + m), sum g^2 <= |B|^-2 sum_{b, b' in B} R(b - b').  The |B|
+    diagonal pairs give R(0) = theta_L2 N^2 each, and each of the |B|^2 - |B|
+    others gives R(b - b') <= corr2 N.
+    """
     report, B, _ = _smoothing("hdr", f, nu, eps, eps, power=1, strict=strict)
     theta_L2 = nu.theta_L2
     corr2 = nu.corr2  # exact: every shift m != 0 is tested
     l2 = report.g_l2
-    # proof split: diagonal pairs give theta_L2 N^2 / |B|, off-diagonal corr2 N
     return _bounded(report, "g_l2", "l2", l2,
-                    theta_L2 * nu.N ** 2 / B.size + 2.0 * corr2 * nu.N,
+                    theta_L2 * nu.N ** 2 / B.size + corr2 * nu.N * (1.0 - 1.0 / B.size),
                     theta_L2=theta_L2, corr2=corr2, l2_sum=l2)
 
 
@@ -303,13 +309,17 @@ def clamp_to_unit_window(g: DiscreteSignal, N: int) -> DiscreteSignal:
     return DiscreteSignal(1, np.clip(vals, 0.0, 1.0))
 
 
-def _hb_constraint_row(N: int, alpha: float, psi: float,
+def _hb_constraint_row(K: int, alpha: float, psi: float,
                        fhat_alpha: complex) -> tuple[np.ndarray, float]:
-    """Row of Re[(fhat - ghat)(alpha) e^(-i psi)] <= t in A_ub x <= b form."""
-    n = np.arange(1, N + 1)
-    row = np.empty(N + 1)
-    row[:N] = -np.cos(2.0 * np.pi * alpha * n - psi)
-    row[N] = -1.0
+    """Row of Re[(fhat - ghat)(alpha) e^(-i psi)] <= t in A_ub x <= b form.
+
+    Column n - 1, 1 <= n <= K, carries g's sum over the residue class of n mod
+    M; at a grid point alpha = j/M every member of the class has n's phase.
+    """
+    n = np.arange(1, K + 1)
+    row = np.empty(K + 1)
+    row[:K] = -np.cos(2.0 * np.pi * alpha * n - psi)
+    row[K] = -1.0
     b = -float((fhat_alpha * np.exp(-1j * psi)).real)
     return row, b
 
@@ -337,26 +347,51 @@ def linprog(highs: _Highs, A_ub: np.ndarray, b_ub: np.ndarray) -> np.ndarray:
     return np.array(highs.getSolution().col_value)
 
 
-def _hb_highs(N: int) -> _Highs:
-    """The row-free LP: minimize t over 0 <= g <= 1_[N], t >= 0.
+def _hb_highs(sizes: np.ndarray) -> _Highs:
+    """The row-free LP: minimize t over 0 <= G_k <= sizes[k], t >= 0.
 
-    scipy, whose HiGHS binding scipy's own `linprog` uses, is imported here
-    and in `linprog`, not with the module: the smoothing constructions need
-    numpy alone.
+    Column k is the sum G_k of g over the k-th residue class of [1, N] mod the
+    LP grid's M, and sizes[k] counts that class; when N <= M every class is
+    one point and the columns are g(1), ..., g(N) themselves.  scipy, whose
+    HiGHS binding scipy's own `linprog` uses, is imported here and in
+    `linprog`, not with the module: the smoothing constructions need numpy
+    alone.
     """
     from scipy.optimize._highspy._core import HighsLp, _Highs, kHighsInf
 
+    K = len(sizes)
     lp = HighsLp()
-    lp.num_col_ = N + 1
+    lp.num_col_ = K + 1
     lp.num_row_ = 0
-    lp.col_cost_ = np.r_[np.zeros(N), 1.0]
-    lp.col_lower_ = np.zeros(N + 1)
-    lp.col_upper_ = np.r_[np.ones(N), kHighsInf]
-    lp.a_matrix_.start_ = np.zeros(N + 2, dtype=np.int32)
+    lp.col_cost_ = np.r_[np.zeros(K), 1.0]
+    lp.col_lower_ = np.zeros(K + 1)
+    lp.col_upper_ = np.r_[sizes, kHighsInf]
+    lp.a_matrix_.start_ = np.zeros(K + 2, dtype=np.int32)
     highs = _Highs()
     highs.setOptionValue("output_flag", False)
     highs.passModel(lp)
     return highs
+
+
+def _hb_spread(G: np.ndarray, target: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """The g in [0, 1] with class sums G nearest `target` in l^1; rows are class members.
+
+    `target` is clip(f, 0, 1) and `members` its indicator, laid out (R, K): entry
+    (r, k) stands for n = r K + k + 1, a member of class k when n <= N.  With C_k
+    the class's target mass, every g of the fibre has ||f - g||_1 >= sum (f - 1)_+
+    + sum_k |C_k - G_k|, and a split that never crosses the target attains it:
+    when G_k <= C_k each member takes the share G_k / C_k of its target, else its
+    target plus the share (G_k - C_k) / (|class| - C_k) of its room below 1.
+    The first member takes what the others leave of G_k, so rounding never
+    moves a class sum and a one-point class keeps G_k exactly.
+    """
+    C = target.sum(axis=0)
+    room = members.sum(axis=0) - C
+    lo = np.clip(np.divide(G, C, out=np.zeros_like(G), where=C > 0), 0.0, 1.0)
+    hi = np.clip(np.divide(G - C, room, out=np.zeros_like(G), where=room > 0), 0.0, 1.0)
+    g = target * lo + (members - target) * hi
+    g[0] = np.clip(G - g[1:].sum(axis=0), 0.0, 1.0)
+    return g.ravel()
 
 
 def hahn_banach_model(f: DiscreteSignal, nu: Majorant,
@@ -372,6 +407,14 @@ def hahn_banach_model(f: DiscreteSignal, nu: Majorant,
     is scanned.  One HiGHS model gains each new row once and re-solves from its
     last basis.  The LP value t* lower bounds the relaxed optimum; the returned
     g is feasible, so its certified Fourier error bounds it above.
+
+    ghat on the grid sees g only through its sums G_k over the residue classes
+    of [1, N] mod M, and g -> G maps [0, 1]^N onto the box of 0 <= G_k <=
+    |class k|.  So the LP has K = min(N, M) columns G_k and the same optimum
+    t*.  After each solve g is read back by `_hb_spread`, the split of each
+    G_k over its class nearest f in l^1, and ghat is g's own transform.  When
+    M <= 2 H_c, as at every N > M, ||f - g||_1 is the certificate, and this
+    split cannot raise it; when N <= M every class is one point and g = G.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValidationError(f"hahn_banach_model needs a finite tol >= 0, got {tol}")
@@ -383,7 +426,15 @@ def hahn_banach_model(f: DiscreteSignal, nu: Majorant,
     fhat = grid_fourier(f, grid)
     cos_gap = math.cos(math.pi / HB_DIRECTIONS)
 
-    highs = _hb_highs(N)
+    K = min(N, M)
+    R = -(-N // K)
+    # [1, N] padded to R K points and laid out (R, K): entry (r, k) is
+    # n = r K + k + 1, so column k holds the residue class of k + 1 mod M
+    members = (np.arange(R * K) < N).astype(np.float64).reshape(R, K)
+    target = np.zeros(R * K)
+    target[:N] = clamp_to_unit_window(f, N).values
+    target = target.reshape(R, K)
+    highs = _hb_highs(members.sum(axis=0))
     rows = set()  # (j, d) already in the LP; at j = 0 and j = M/2, d and -d give one row
     g_vals = np.zeros(N)
     ghat = np.zeros_like(fhat)
@@ -405,14 +456,14 @@ def hahn_banach_model(f: DiscreteSignal, nu: Majorant,
                     dd = min(dd, -dd % HB_DIRECTIONS)
                 if (j, dd) not in rows:
                     rows.add((j, dd))
-                    new.append(_hb_constraint_row(N, j / M, float(psis[dd]), fhat[j]))
+                    new.append(_hb_constraint_row(K, j / M, float(psis[dd]), fhat[j]))
         if not new:
             break  # every row at the violated j is in: a re-solve returns the same g
         A, b = zip(*new)
         x = linprog(highs, A_ub=np.array(A), b_ub=np.array(b))
         solves += 1
-        g_vals = x[:N]
-        t_star = float(x[N])
+        g_vals = _hb_spread(x[:K], target, members)[:N]
+        t_star = float(x[K])
         ghat = grid_fourier(DiscreteSignal(1, g_vals), grid)
     converged = not violated
     g = DiscreteSignal(1, g_vals)

@@ -170,7 +170,7 @@ def test_criterion_04_hdr_l2_chain(sparse_pool, hdr_reports) -> None:
     ok = all(rep.checks["l2_ok"] for rep in hdr_reports)
     worst = max(rep.checks["l2_sum"] / rep.checks["l2_bound"]
                 for rep in hdr_reports)
-    check(4, "L2 chain sum g^2 <= theta_L2 N^2/|B| + 2 corr2 N instance-wise",
+    check(4, "L2 chain sum g^2 <= theta_L2 N^2/|B| + corr2 N (1 - 1/|B|) instance-wise",
           ok, f"worst ratio {worst:.3f}")
 
 

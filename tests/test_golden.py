@@ -47,6 +47,8 @@ PIPELINE_CASES = {
     "pipeline_green_squares_N1000": dict(N=1000, majorant="squares", variant="green",
                                          eps=0.3, eta=0.3),
     "pipeline_hahn_banach_sparse_N300": dict(N=300, variant="hahn_banach", seed=7),
+    # N > 1024: the HB LP folds g into residue classes of its grid
+    "pipeline_hahn_banach_sparse_N2000": dict(N=2000, variant="hahn_banach", seed=7),
     "pipeline_hdr_uniform_random_N500": dict(N=500, majorant="uniform", selection="random",
                                              variant="hdr", eps=0.2, eta=0.2, seed=7),
 }

@@ -723,17 +723,18 @@ class TestCliPipelineOptions:
 
     @pytest.mark.parametrize("command", ["majorant", "densify"])
     def test_option_defaults_are_the_config_defaults(self, command) -> None:
-        # an absent --N reads N = 1000, or the --majorant-csv window's end
-        from densemodel.cli import build_parser
+        # an absent --N reads the config's N, or the --majorant-csv window's end
+        from densemodel.cli import _load_majorant, build_parser
 
-        args = vars(build_parser().parse_args([command]))
+        parsed = build_parser().parse_args([command])
+        args = {**vars(parsed), "N": _load_majorant(parsed).N}
         cfg = PipelineConfig()
-        shared = [name for name in vars(cfg) if name in args and name != "N"]
+        shared = [name for name in vars(cfg) if name in args]
         assert args["kind"] == cfg.majorant
         assert {name: args[name] for name in shared} == {name: getattr(cfg, name)
                                                          for name in shared}
         if command == "densify":
-            assert set(shared) == {"exponent", "seed", "variant", "eps", "eta",
+            assert set(shared) == {"N", "exponent", "seed", "variant", "eps", "eta",
                                    "k", "p", "tol", "strict"}
 
     def test_config_strict_exits_on_a_flag(self, tmp_path, capsys) -> None:
