@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DenseModelError, ValidationError
-from .signals import DiscreteSignal
 
 DEFAULT_TOL = 1e-8
 FW_MAX_ITER = 50_000
@@ -208,11 +207,3 @@ def minimax_solve(A: PointHull, B: PointHull,
         raise DenseModelError(f"saddle gap {gap} exceeds tolerance")
     return SaddleResult(a_star=a_star, b_star=b_star, a_coeffs=lam,
                         b_coeffs=mu, value=value, gap=max(gap, 0.0))
-
-
-def positive_part_split(psi: DiscreteSignal) -> tuple[DiscreteSignal, DiscreteSignal]:
-    """(psi_plus, 1_{psi >= 0}) with psi_plus = psi * indicator."""
-    plus = np.maximum(psi.values, 0.0)
-    ind = (psi.values >= 0).astype(np.float64)
-    return (DiscreteSignal(psi.support_lo, plus),
-            DiscreteSignal(psi.support_lo, ind))

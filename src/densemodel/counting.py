@@ -17,6 +17,7 @@ import numpy as np
 from .errors import ResourceError, ValidationError
 from .signals import (
     CertifiedSup,
+    Claim,
     DiscreteSignal,
     FrequencyGrid,
     default_grid,
@@ -214,7 +215,11 @@ class TransferErrorReport:
     sup_err: float
     count_f: float
     count_g: float
-    ok: bool
+    claim: Claim
+
+    @property
+    def ok(self) -> bool:
+        return self.claim.ok
 
     def as_dict(self) -> dict:
         return {"delta": self.delta, "sup_err": self.sup_err,
@@ -249,9 +254,9 @@ def transfer_error_bound(form: LinearForm, f: DiscreteSignal, g: DiscreteSignal,
     delta = sup.certified_upper * s * m2 ** 2 * m1 ** (s - 3)
     cf = count_weighted(form, [f] * s).total if count_f is None else count_f
     cg = count_weighted(form, [g] * s).total if count_g is None else count_g
-    lhs = abs(cf - cg)
-    ok = lhs <= delta * (1 + 1e-9) + 1e-9
-    return TransferErrorReport(delta, sup.certified_upper, count_f=cf, count_g=cg, ok=ok)
+    claim = Claim.at_most("transfer", "certified-bound", abs(cf - cg), delta,
+                          rel=1e-9, abs=1e-9)
+    return TransferErrorReport(delta, sup.certified_upper, cf, cg, claim)
 
 
 @dataclass(frozen=True)
@@ -276,8 +281,13 @@ class ThresholdReport:
         return len(self.elements)
 
     @property
+    def claim(self) -> Claim:
+        return Claim.at_least("threshold_floor", "exact", self.size,
+                              self.certified_floor, rel=1e-12)
+
+    @property
     def ok(self) -> bool:
-        return self.size >= self.certified_floor * (1 - 1e-12)
+        return self.claim.ok
 
     def indicator(self) -> DiscreteSignal:
         """1_B on [min B, max B]; the zero signal when B is empty."""
@@ -329,7 +339,11 @@ class ComparisonReport:
     count_g: float
     count_indicator: float
     factor: float
-    ok: bool
+    claim: Claim
+
+    @property
+    def ok(self) -> bool:
+        return self.claim.ok
 
     def as_dict(self) -> dict:
         return {"count_g": self.count_g, "count_indicator": self.count_indicator,
@@ -348,5 +362,6 @@ def count_comparison(form: LinearForm, g: DiscreteSignal,
     ind = threshold.indicator()
     cb = count_weighted(form, [ind] * s).total
     factor = (threshold.delta / 2.0) ** s
-    ok = cg >= factor * cb * (1 - 1e-9) - 1e-9
-    return ComparisonReport(count_g=cg, count_indicator=cb, factor=factor, ok=ok)
+    claim = Claim.at_least("count_comparison", "certified-bound", cg, factor * cb,
+                           rel=1e-9, abs=1e-9)
+    return ComparisonReport(count_g=cg, count_indicator=cb, factor=factor, claim=claim)

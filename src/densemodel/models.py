@@ -22,6 +22,7 @@ from .errors import DenseModelError, ValidationError
 from .majorants import Majorant, max_lag_correlation
 from .signals import (
     CertifiedSup,
+    Claim,
     DiscreteSignal,
     FrequencyGrid,
     align,
@@ -60,7 +61,7 @@ class DenseModelReport:
     g_lk_over_N: float | None = None
     checks: dict = field(default_factory=dict)
     flags: list = field(default_factory=list)
-    claims: list = field(default_factory=list)  # (name, value, bound, ok); not in as_dict
+    claims: list = field(default_factory=list)  # its Claim records, in order; not in as_dict
 
     def as_dict(self) -> dict:
         d = {
@@ -145,35 +146,31 @@ def _smoothing(variant: str, f: DiscreteSignal, nu: Majorant, eps: float,
     product = fhat * sig_pow
     scale = max(1.0, float(np.max(np.abs(ghat))))
     checks = {
-        "off_spectrum_max": off_max,
-        "off_spectrum_bound": 2.0 * spec.threshold,
-        "off_spectrum_ok": off_max <= 2.0 * spec.threshold * (1 + 1e-12) + 1e-12,
-        "representative_max": rep_max,
-        "representative_bound": 2.0 * math.pi * eps,
-        "representative_ok": rep_max <= 2.0 * math.pi * eps * (1 + 1e-9) + 1e-9,
         "conv_theorem_rel_err": float(np.max(np.abs(ghat - product))) / scale,
         "bohr_size": B.size,
         "spectrum_r": spec.r,
     }
-    claims = [(c, checks[f"{c}_max"], checks[f"{c}_bound"], checks[f"{c}_ok"])
-              for c in ("off_spectrum", "representative")]
     flags = ["spectrum_grid_capped"] if spec.capped else []
     if B.size == 1:
         # B = {0}: g is f itself and the Fourier certificate is 0 for free
         flags.append("bohr_trivial")
-    return (_report(variant, {"eps": eps, "eta": eta, **params}, f, nu, g, err,
-                    checks, flags, claims), B, sigma)
+    report = _report(variant, {"eps": eps, "eta": eta, **params}, f, nu, g, err,
+                     checks, flags, [])
+    _bounded(report, "off_spectrum", Claim.at_most(
+        "off_spectrum", "certified-bound", off_max, 2.0 * spec.threshold,
+        rel=1e-12, abs=1e-12), off_spectrum_max=off_max)
+    _bounded(report, "representative", Claim.at_most(
+        "representative", "certified-bound", rep_max, 2.0 * math.pi * eps,
+        rel=1e-9, abs=1e-9), representative_max=rep_max)
+    return report, B, sigma
 
 
-def _bounded(report: DenseModelReport, claim: str, key: str, value: float,
-             bound: float, **checks) -> DenseModelReport:
-    """`report` with its variant's checks and boundedness claim value <= bound.
-
-    The claim's bound and verdict are also the checks `<key>_bound` and `<key>_ok`.
-    """
-    ok = value <= bound * (1 + 1e-9)
-    report.checks.update(checks, **{f"{key}_bound": bound, f"{key}_ok": ok})
-    report.claims.append((claim, value, bound, ok))
+def _bounded(report: DenseModelReport, key: str, claim: Claim,
+             **checks) -> DenseModelReport:
+    """`report` with `checks` and `claim`, whose bound and verdict are also the
+    checks `<key>_bound` and `<key>_ok`."""
+    report.checks.update(checks, **{f"{key}_bound": claim.bound, f"{key}_ok": claim.ok})
+    report.claims.append(claim)
     return report
 
 
@@ -183,8 +180,9 @@ def green_model(f: DiscreteSignal, nu: Majorant, eps: float, eta: float,
     report, B, _ = _smoothing("green", f, nu, eps, eta, power=2, strict=strict)
     # instance form of the L^inf chain: g <= 1 + theta_decay * N / |B|
     theta_decay = nu.theta_decay
-    return _bounded(report, "g_linf", "linf", report.g_linf,
-                    1.0 + theta_decay * nu.N / B.size, theta_decay=theta_decay)
+    return _bounded(report, "linf", Claim.at_most(
+        "g_linf", "certified-bound", report.g_linf,
+        1.0 + theta_decay * nu.N / B.size, rel=1e-9), theta_decay=theta_decay)
 
 
 def hdr_model(f: DiscreteSignal, nu: Majorant, eps: float,
@@ -201,9 +199,10 @@ def hdr_model(f: DiscreteSignal, nu: Majorant, eps: float,
     theta_L2 = nu.theta_L2
     corr2 = nu.corr2  # exact: every shift m != 0 is tested
     l2 = report.g_l2
-    return _bounded(report, "g_l2", "l2", l2,
-                    theta_L2 * nu.N ** 2 / B.size + corr2 * nu.N * (1.0 - 1.0 / B.size),
-                    theta_L2=theta_L2, corr2=corr2, l2_sum=l2)
+    return _bounded(report, "l2", Claim.at_most(
+        "g_l2", "certified-bound", l2,
+        theta_L2 * nu.N ** 2 / B.size + corr2 * nu.N * (1.0 - 1.0 / B.size),
+        rel=1e-9), theta_L2=theta_L2, corr2=corr2, l2_sum=l2)
 
 
 def _positive_differences(B: BohrSet) -> np.ndarray:
@@ -276,8 +275,9 @@ def naslund_model(f: DiscreteSignal, nu: Majorant, k: int, p: float,
     binom = math.comb(k, 2)
     with np.errstate(over="ignore"):
         collapse = float(np.ldexp(1.0, binom))  # 2^binom, inf past the float range
-    bohr_condition = B.size >= k * collapse * theta * nu.N
-    if not bohr_condition:
+    bohr_condition = Claim.at_least("bohr_condition", "certified-bound", B.size,
+                                    k * collapse * theta * nu.N)
+    if not bohr_condition.ok:
         flags.append("unverified boundedness")
     lk = _power_sum(report.g, k)
     corr = _bohr_restricted_correlations(nu, B, k)
@@ -289,13 +289,13 @@ def naslund_model(f: DiscreteSignal, nu: Majorant, k: int, p: float,
     if not math.isfinite(chain_bound):
         raise ValidationError(
             f"naslund_model's L^k collapse bound is not a finite float: k = {k} is too large")
-    majorant_chain = _power_sum(convolve(nu.signal, sigma), k)
-    return _bounded(replace(report, g_lk_over_N=lk / nu.N), "g_lk", "lk_collapse",
-                    lk, chain_bound, theta_Linf=theta,
-                    bohr_condition_rhs=k * collapse * theta * nu.N,
-                    bohr_condition_ok=bool(bohr_condition), lk_sum=lk,
-                    lk_majorant_chain=majorant_chain,
-                    lk_majorant_ok=lk <= majorant_chain * (1 + 1e-9),
+    g_lk = Claim.at_most("g_lk", "certified-bound", lk, chain_bound, rel=1e-9)
+    lk_majorant = Claim.at_most("lk_majorant", "certified-bound", lk,
+                                _power_sum(convolve(nu.signal, sigma), k), rel=1e-9)
+    return _bounded(replace(report, g_lk_over_N=lk / nu.N), "lk_collapse", g_lk,
+                    theta_Linf=theta, bohr_condition_rhs=bohr_condition.bound,
+                    bohr_condition_ok=bohr_condition.ok, lk_sum=lk,
+                    lk_majorant_chain=lk_majorant.bound, lk_majorant_ok=lk_majorant.ok,
                     corr_constants={str(l): corr[l] for l in corr})
 
 
@@ -480,4 +480,5 @@ def hahn_banach_model(f: DiscreteSignal, nu: Majorant,
     }
     return _report("hahn_banach", {"directions": HB_DIRECTIONS, "tol": tol},
                    f, nu, g, err, checks, flags,
-                   [("lp_optimum", t_star, checks["t_upper"], converged)])
+                   [Claim("lp_optimum", "certified-bound", t_star, err.certified_upper,
+                          converged)])

@@ -41,7 +41,7 @@ from .models import (
     hdr_model,
     naslund_model,
 )
-from .signals import DiscreteSignal
+from .signals import Claim, DiscreteSignal
 
 SCHEMA_VERSION = "tlab-report/2"
 
@@ -252,16 +252,6 @@ def _stage(name: str, fn, *args, **kwargs):
 def run_pipeline(cfg: PipelineConfig) -> PipelineReport:
     cfg.validate()
     flags: list = []
-    claims: list = []
-
-    def claim(name: str, kind: str, value, bound=None, ok=None):
-        entry = {"name": name, "kind": kind, "value": value}
-        if bound is not None:
-            entry["bound"] = bound
-        if ok is not None:
-            entry["ok"] = bool(ok)
-        claims.append(entry)
-
     nu = _stage("majorant", build_majorant,
                 cfg.majorant, cfg.N, cfg.exponent, cfg.seed)
     f, subset_size = _stage("subset", select_subset,
@@ -284,18 +274,10 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineReport:
                       count_f=count_f.total, count_g=count_g.total,
                       sup=model.fourier_err)
 
-    claim("fourier_err_upper", "certified-bound",
-          model.fourier_err.certified_upper)
-    for name, value, bound, ok in model.claims:
-        claim(name, "certified-bound", value, bound, ok)
-    claim("transfer", "certified-bound",
-          abs(transfer.count_f - transfer.count_g), transfer.delta, transfer.ok)
-    claim("threshold_floor", "exact", threshold.size,
-          threshold.certified_floor, threshold.ok)
-    claim("count_comparison", "certified-bound", comparison.count_g,
-          comparison.factor * comparison.count_indicator, comparison.ok)
-
-    ok = all(c["ok"] for c in claims if "ok" in c)
+    claims = [Claim("fourier_err_upper", "certified-bound",
+                    model.fourier_err.certified_upper),
+              *model.claims, transfer.claim, threshold.claim, comparison.claim]
+    ok = all(c.ok for c in claims if c.ok is not None)
     data = {
         "schema": report_schema_version(),
         "config": cfg.as_dict(),
@@ -312,7 +294,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineReport:
         "threshold": threshold.as_dict(),
         "comparison": comparison.as_dict(),
         "transfer": transfer.as_dict(),
-        "claims": claims,
+        "claims": [c.as_dict() for c in claims],
         "flags": flags,
         "ok": ok,
     }

@@ -124,9 +124,6 @@ class DiscreteSignal:
     def is_zero(self) -> bool:
         return not np.any(self.values)
 
-    def scaled(self, c: float) -> "DiscreteSignal":
-        return DiscreteSignal(self.support_lo, self.values * float(c))
-
 
 def align(f: DiscreteSignal, g: DiscreteSignal) -> tuple[int, np.ndarray, np.ndarray]:
     """Common window [lo, hi] holding both supports; returns (lo, fvals, gvals)."""
@@ -137,11 +134,6 @@ def align(f: DiscreteSignal, g: DiscreteSignal) -> tuple[int, np.ndarray, np.nda
     fv[f.support_lo - lo: f.support_hi - lo + 1] = f.values
     gv[g.support_lo - lo: g.support_hi - lo + 1] = g.values
     return lo, fv, gv
-
-
-def add(f: DiscreteSignal, g: DiscreteSignal) -> DiscreteSignal:
-    lo, fv, gv = align(f, g)
-    return DiscreteSignal(lo, fv + gv)
 
 
 def subtract(f: DiscreteSignal, g: DiscreteSignal) -> DiscreteSignal:
@@ -242,6 +234,34 @@ class CertifiedSup:
             "certified_lower": self.certified_lower,
             "certified_upper": self.certified_upper,
         }
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One inequality of a report, value <= bound or value >= bound, and its verdict.
+
+    kind is "exact" or "certified-bound".  `at_most` and `at_least` pad the bound
+    by rel and abs, so a bound met up to rounding holds.  A claim with no bound
+    states a value alone, and one built by hand may carry no verdict.
+    """
+
+    name: str
+    kind: str
+    value: float
+    bound: float | None = None
+    ok: bool | None = None
+
+    @classmethod
+    def at_most(cls, name: str, kind: str, value, bound, rel=0.0, abs=0.0) -> "Claim":
+        return cls(name, kind, value, bound, bool(value <= bound * (1 + rel) + abs))
+
+    @classmethod
+    def at_least(cls, name: str, kind: str, value, bound, rel=0.0, abs=0.0) -> "Claim":
+        return cls(name, kind, value, bound, bool(value >= bound * (1 - rel) - abs))
+
+    def as_dict(self) -> dict:
+        """Its fields in order, without an absent bound or verdict."""
+        return {k: v for k, v in vars(self).items() if v is not None}
 
 
 def exact_sum(x) -> float:

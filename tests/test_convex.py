@@ -12,11 +12,9 @@ from hypothesis import strategies as st
 from densemodel.convex import (
     PointHull,
     minimax_solve,
-    positive_part_split,
     project_onto_hull,
 )
 from densemodel.errors import ValidationError
-from densemodel.signals import DiscreteSignal
 
 
 def brute_game_value(G: np.ndarray, steps: int = 1000) -> float:
@@ -111,13 +109,3 @@ class TestMinimax:
         res = minimax_solve(PointHull(np.eye(3)), PointHull(G.T))
         assert res.value == pytest.approx(brute_game_value(G, steps=100),
                                           abs=2e-2)
-
-
-class TestPositivePartSplit:
-    def test_split_identity(self) -> None:
-        psi = DiscreteSignal(-2, np.array([1.0, -0.5, 0.0, 2.0, -3.0]))
-        pos, ind = positive_part_split(psi)
-        for n in range(-3, 4):
-            assert pos(n) == max(psi(n), 0.0)
-            assert ind(n) in (0.0, 1.0)
-            assert pos(n) == psi(n) * ind(n)

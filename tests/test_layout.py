@@ -1,11 +1,13 @@
-"""The package's modules reach one another only through public names, and the
-benchmark's tracer names only functions that exist."""
+"""The package's modules reach one another only through public names, its
+verdicts are decided in one place, and the benchmark's tracer names only
+functions that exist."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import importlib.util
+import re
 from collections import defaultdict
 from pathlib import Path
 
@@ -54,6 +56,16 @@ def test_pipeline_reads_no_model_params() -> None:
              if isinstance(node, ast.Attribute) and node.attr == "params"
              and isinstance(node.ctx, ast.Load)]
     assert reads == []
+
+
+def test_no_hand_written_verdict_pad() -> None:
+    """Every verdict is a `signals.Claim`, whose `at_most` and `at_least` take
+    their pads as arguments: no module pads a bound by a literal (1 +- 1e-N)."""
+    pad = re.compile(r"\(1 [+-] 1e-\d+\)")
+    hits = [f"{path.name}:{n}" for path in sorted(PACKAGE.glob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if pad.search(line)]
+    assert hits == []
 
 
 class _ReadKeys(defaultdict):

@@ -197,7 +197,8 @@ class TestDiagnose:
     def test_correlation_scale_invariance(self, N, seed) -> None:
         # corr is a max of sums of products; doubling nu scales corr[2] by 4
         nu = make_random_sparse(N, 0.8, seed)
-        doubled = Majorant(nu.signal.scaled(2.0), 2 * nu.N, dict(nu.metadata))
+        doubled = Majorant(DiscreteSignal(nu.signal.support_lo, nu.signal.values * 2.0),
+                           2 * nu.N, dict(nu.metadata))
         assert doubled.corr2 == pytest.approx(4 * nu.corr2 * N / (2 * N), rel=1e-9)
         assert nu.corr2 == pytest.approx(brute_max_correlation(nu, 2), rel=1e-12)
 

@@ -233,7 +233,7 @@ class TestHahnBanach:
         rep = hahn_banach_model(f, nu)
         grid = FrequencyGrid(1024)
         for cand in (clamp_to_unit_window(f, nu.N),
-                     DiscreteSignal.interval(nu.N).scaled(0.5)):
+                     DiscreteSignal(1, np.full(nu.N, 0.5))):
             fh = grid_fourier(f, grid)
             ch = grid_fourier(cand, grid)
             assert rep.checks["t_star"] <= float(
@@ -487,210 +487,79 @@ class TestModelClaims:
         "hahn_banach": ["lp_optimum"],
     }
 
-    @pytest.mark.parametrize("variant", sorted(NAMES))
-    def test_claims_reach_the_pipeline_report(self, variant) -> None:
-        from densemodel.pipeline import PipelineConfig, run_model, run_pipeline
+    # the checks each claim's bound and verdict are also written to
+    CHECK_KEYS = {
+        "off_spectrum": ("off_spectrum_bound", "off_spectrum_ok"),
+        "representative": ("representative_bound", "representative_ok"),
+        "g_linf": ("linf_bound", "linf_ok"),
+        "g_l2": ("l2_bound", "l2_ok"),
+        "g_lk": ("lk_collapse_bound", "lk_collapse_ok"),
+        "lp_optimum": ("t_upper", "converged"),
+    }
+
+    @staticmethod
+    def _model(variant):
+        from densemodel.pipeline import PipelineConfig, run_model
 
         cfg = PipelineConfig(N=200, variant=variant, eps=0.2, eta=0.2, seed=5)
         nu = make_random_sparse(cfg.N, cfg.exponent, cfg.seed)
         f, _ = select_subset(nu, cfg.delta, cfg.selection, cfg.seed)
         model = run_model(variant, f, nu, eps=cfg.eps, eta=cfg.eta, k=cfg.k, p=cfg.p,
                           tol=cfg.tol, strict=False)
-        assert [c[0] for c in model.claims] == self.NAMES[variant]
+        return cfg, f, model
+
+    @pytest.mark.parametrize("variant", sorted(NAMES))
+    def test_claims_reach_the_pipeline_report(self, variant) -> None:
+        from densemodel.pipeline import run_pipeline
+
+        cfg, _, model = self._model(variant)
+        assert [c.name for c in model.claims] == self.NAMES[variant]
         assert "claims" not in model.as_dict()
         claims = run_pipeline(cfg).data["claims"]
         # the model's claims follow fourier_err_upper, in the model's order
         stated = claims[1:1 + len(model.claims)]
-        assert [(c["name"], c["kind"], c["value"], c["bound"], c["ok"]) for c in stated] == \
-            [(n, "certified-bound", v, b, bool(ok)) for n, v, b, ok in model.claims]
+        assert [c["kind"] for c in stated] == ["certified-bound"] * len(stated)
+        assert [c.as_dict() for c in model.claims] == stated
         assert claims[len(model.claims) + 1]["name"] == "transfer"
 
+    @pytest.mark.parametrize("variant", sorted(NAMES))
+    def test_checks_are_read_off_the_claims(self, variant) -> None:
+        _, _, model = self._model(variant)
+        for claim in model.claims:
+            bound_key, ok_key = self.CHECK_KEYS[claim.name]
+            assert (model.checks[bound_key], model.checks[ok_key]) == (claim.bound,
+                                                                       claim.ok)
 
-class TestHahnBanachWarmStart:
-    @staticmethod
-    def _instance(N, seed):
-        nu = make_random_sparse(N, 2 / 3, seed=seed)
-        f, _ = select_subset(nu, 0.5, "structured", seed)
-        return f, nu
+    @pytest.mark.parametrize("variant", sorted(NAMES))
+    def test_counting_verdicts_are_read_off_their_claims(self, variant) -> None:
+        from densemodel.counting import (
+            LinearForm,
+            count_comparison,
+            threshold_extract,
+            transfer_error_bound,
+        )
 
-    @pytest.mark.parametrize("N, seed", [(300, 7), (1000, 0)])
-    def test_cold_solve_of_final_rows_agrees(self, N, seed, monkeypatch) -> None:
-        from scipy.optimize import linprog
+        cfg, f, model = self._model(variant)
+        form = LinearForm(cfg.form)
+        threshold = threshold_extract(model.g, cfg.delta, cfg.N)
+        reports = {"transfer": transfer_error_bound(form, f, model.g),
+                   "threshold_floor": threshold,
+                   "count_comparison": count_comparison(form, model.g, threshold)}
+        for name, report in reports.items():
+            assert report.claim.name == name
+            assert report.ok is report.as_dict()["ok"] is report.claim.ok
 
-        f, nu = self._instance(N, seed)
-        made = []
+    @pytest.mark.parametrize("variant, capped", [(v, False) for v in sorted(NAMES)]
+                             + [("hahn_banach", True)])
+    def test_pipeline_ok_is_the_conjunction_of_its_claims(self, variant, capped,
+                                                          monkeypatch) -> None:
+        from densemodel.pipeline import PipelineConfig, run_pipeline
 
-        def record(*args):
-            made.append(_hb_constraint_row(*args))
-            return made[-1]
-
-        monkeypatch.setattr(models, "_hb_constraint_row", record)
-        rep = hahn_banach_model(f, nu)
-        assert rep.checks["converged"]
-        assert rep.checks["rounds_constraints"] == len(made)
-        A, b = zip(*made)
-        cost = np.zeros(N + 1)
-        cost[N] = 1.0
-        res = linprog(cost, A_ub=np.array(A), b_ub=np.array(b),
-                      bounds=[(0.0, 1.0)] * N + [(0.0, None)], method="highs")
-        assert res.success
-        assert res.x[N] == pytest.approx(rep.checks["t_star"], rel=1e-9)
-
-    @pytest.mark.parametrize("N, seed", [(300, 7), (600, 11)])
-    def test_each_row_reaches_the_solver_once(self, N, seed, monkeypatch) -> None:
-        f, nu = self._instance(N, seed)
-        made, passed, rounds = [], [], []
-        solve = models.linprog
-        transform = models.grid_fourier
-
-        def record_row(*args):
-            made.append(_hb_constraint_row(*args))
-            return made[-1]
-
-        def record_solve(*args, **kwargs):
-            passed.append((kwargs["A_ub"], kwargs["b_ub"]))
-            return solve(*args, **kwargs)
-
-        def record_transform(sig, grid):
-            rounds.append(grid.M)
-            return transform(sig, grid)
-
-        monkeypatch.setattr(models, "_hb_constraint_row", record_row)
-        monkeypatch.setattr(models, "linprog", record_solve)
-        monkeypatch.setattr(models, "grid_fourier", record_transform)
-        rep = hahn_banach_model(f, nu)
-        assert sum(A.shape[0] for A, _ in passed) == rep.checks["rounds_constraints"]
-        # in the order they were made, each row once
-        assert np.array_equal(np.vstack([A for A, _ in passed]),
-                              np.array([row for row, _ in made]))
-        assert np.array_equal(np.concatenate([b for _, b in passed]),
-                              np.array([b for _, b in made]))
-        # one solve per LP round: fhat once, then ghat after every solve
-        assert len(passed) == len(rounds) - 1 >= 2
-
-    def test_round_without_new_rows_ends_the_loop(self, monkeypatch) -> None:
-        # at tol = 0 rounding leaves a violated j whose rows are all in the LP;
-        # re-solving the same LP would return the same g up to the round cap
-        f, nu = self._instance(300, 7)
-        sizes = []
-        solve = models.linprog
-
-        def record_solve(*args, **kwargs):
-            sizes.append(kwargs["A_ub"].shape[0])
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(models, "linprog", record_solve)
-        rep = hahn_banach_model(f, nu, tol=0.0)
-        assert len(sizes) < models.HB_MAX_ROUNDS
-        assert min(sizes) >= 1
-        assert not rep.checks["converged"]
-        assert "row_generation_cap_reached" in rep.flags
-
-
-@pytest.fixture(scope="module", params=[(1025, 7), (1500, 0)], ids=["N1025", "N1500"])
-def hb_class_sum_run(request):
-    """One HB run at N > 1024 with every row it made and every solve it ran."""
-    N, seed = request.param
-    nu = make_random_sparse(N, 2 / 3, seed=seed)
-    f, _ = select_subset(nu, 0.5, "structured", seed)
-    rows, solves = [], []
-    solve = models.linprog
-
-    def record_row(*args):
-        rows.append(_hb_constraint_row(*args))
-        return rows[-1]
-
-    def record_solve(*args, **kwargs):
-        x = solve(*args, **kwargs)
-        solves.append((kwargs["A_ub"].shape, x))
-        return x
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(models, "_hb_constraint_row", record_row)
-        mp.setattr(models, "linprog", record_solve)
-        rep = hahn_banach_model(f, nu)
-    return f, nu, rep, rows, solves
-
-
-class TestHahnBanachClassSums:
-    """Past N = M the LP's columns are g's sums over the residue classes mod M."""
-
-    def test_every_solve_has_one_column_per_class(self, hb_class_sum_run) -> None:
-        *_, rep, _, solves = hb_class_sum_run
-        assert rep.params["grid_M"] == 1024
-        assert len(solves) >= 2
-        # 1024 class columns and t
-        assert {shape[1] for shape, _ in solves} == {1025}
-
-    def test_full_width_cold_solve_agrees(self, hb_class_sum_run) -> None:
-        from scipy.optimize import linprog
-
-        f, nu, rep, rows, _ = hb_class_sum_run
-        N, M = nu.N, rep.params["grid_M"]
-        assert rep.checks["converged"]
-        A, b = zip(*rows)
-        A = np.array(A)
-        # g(n) enters every row through the column of its class, (n - 1) mod M
-        wide = np.hstack([A[:, np.arange(N) % M], A[:, -1:]])
-        cost = np.zeros(N + 1)
-        cost[N] = 1.0
-        res = linprog(cost, A_ub=wide, b_ub=np.array(b),
-                      bounds=[(0.0, 1.0)] * N + [(0.0, None)], method="highs")
-        assert res.success
-        assert res.x[N] == pytest.approx(rep.checks["t_star"], rel=1e-9)
-
-    def test_g_is_a_bounded_split_of_the_columns(self, hb_class_sum_run) -> None:
-        _, nu, rep, _, solves = hb_class_sum_run
-        N, M = nu.N, rep.params["grid_M"]
-        g = rep.g
-        assert (g.support_lo, len(g.values)) == (1, N)
-        assert np.all((g.values >= 0.0) & (g.values <= 1.0))
-        sums = np.bincount(np.arange(N) % M, weights=g.values, minlength=M)
-        G = solves[-1][1][:M]
-        assert np.max(np.abs(sums - G)) <= 1e-12
-
-    def test_g_is_the_l1_nearest_split(self, hb_class_sum_run) -> None:
-        f, nu, rep, _, solves = hb_class_sum_run
-        N, M = nu.N, rep.params["grid_M"]
-        fv = np.zeros(N)
-        fv[f.indices - 1] = f.values  # 0 <= f <= nu lives on [1, N]
-        oracle = _l1_fibre_minimum(fv, np.arange(N) % M, solves[-1][1][:M])
-        assert rep.fourier_err.l1_norm == pytest.approx(oracle, rel=1e-9)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_spread_attains_the_fibre_minimum(self, seed) -> None:
-        # classes of 3 or 2 points, targets with ties at 0 and 1, f above 1 too
-        rng = np.random.default_rng(seed)
-        N, K = 19, 7
-        fv = rng.choice([0.0, 0.3, 1.0, 1.7, rng.random()], N)
-        members = np.zeros(3 * K)
-        members[:N] = 1.0
-        target = np.zeros(3 * K)
-        target[:N] = np.minimum(fv, 1.0)
-        members, target = members.reshape(3, K), target.reshape(3, K)
-        G = rng.random(K) * members.sum(axis=0)
-        G[:2] = (0.0, members[:, 1].sum())  # an empty class and a full one
-        g = models._hb_spread(G, target, members)[:N]
-        assert np.all((g >= 0.0) & (g <= 1.0))
-        classes = np.arange(N) % K
-        assert np.max(np.abs(np.bincount(classes, weights=g, minlength=K) - G)) <= 1e-12
-        assert np.sum(np.abs(fv - g)) == pytest.approx(
-            _l1_fibre_minimum(fv, classes, G), rel=1e-9, abs=1e-12)
-
-
-def _l1_fibre_minimum(fv: np.ndarray, classes: np.ndarray, G: np.ndarray) -> float:
-    """min sum |f - g| over g in [0, 1]^N with class sums G, as an LP in (g, s)."""
-    from scipy.optimize import linprog
-    from scipy.sparse import eye, hstack, vstack
-
-    N, K = len(fv), len(G)
-    I = eye(N, format="csr")
-    A_eq = np.zeros((K, 2 * N))
-    A_eq[classes, np.arange(N)] = 1.0
-    # s >= f - g and s >= g - f
-    res = linprog(np.r_[np.zeros(N), np.ones(N)],
-                  A_ub=vstack([hstack([-I, -I]), hstack([I, -I])]), b_ub=np.r_[-fv, fv],
-                  A_eq=A_eq, b_eq=G, bounds=[(0.0, 1.0)] * N + [(0.0, None)] * N,
-                  method="highs")
-    assert res.success
-    return res.fun
+        if capped:
+            # one LP round stops the row generation short: lp_optimum fails
+            monkeypatch.setattr(models, "HB_MAX_ROUNDS", 1)
+        data = run_pipeline(PipelineConfig(N=200, variant=variant, eps=0.2, eta=0.2,
+                                           seed=5)).data
+        verdicts = [c["ok"] for c in data["claims"] if "ok" in c]
+        assert len(verdicts) == len(data["claims"]) - 1
+        assert data["ok"] is all(verdicts) is not capped

@@ -13,9 +13,9 @@ from densemodel.errors import ResourceError, ValidationError
 from densemodel.signals import (
     UNIT_ROUNDOFF,
     CertifiedSup,
+    Claim,
     DiscreteSignal,
     FrequencyGrid,
-    add,
     certify_sup,
     convolve,
     default_grid,
@@ -98,11 +98,11 @@ class TestDiscreteSignal:
         assert np.all(f.values == 1.0)
 
     @given(small_signals, small_signals)
-    def test_add_subtract_roundtrip(self, f, g) -> None:
-        h = subtract(add(f, g), g)
-        for n in range(min(h.support_lo, f.support_lo) - 1,
-                       max(h.support_hi, f.support_hi) + 2):
-            assert h(n) == pytest.approx(f(n), abs=1e-12)
+    def test_subtract_is_pointwise(self, f, g) -> None:
+        h = subtract(f, g)
+        for n in range(min(f.support_lo, g.support_lo) - 1,
+                       max(f.support_hi, g.support_hi) + 2):
+            assert h(n) == f(n) - g(n)
 
 
 class TestFourier:
@@ -218,6 +218,44 @@ class TestCertifiedSup:
 
 
 BRUTE_GRID = FrequencyGrid(1 << 21)
+
+
+
+class TestClaim:
+    # the (rel, abs) pads the package decides its verdicts with
+    PADS = [(0.0, 0.0), (1e-12, 0.0), (1e-9, 0.0), (1e-12, 1e-12), (1e-9, 1e-9)]
+    BOUNDS = [0.0, 1.0, 2.0 * math.pi * 0.1, 1234.5, 3.0e17]
+
+    @pytest.mark.parametrize("rel, abs_", PADS)
+    @pytest.mark.parametrize("bound", BOUNDS)
+    def test_at_most_holds_at_its_padded_edge_and_fails_past_it(self, rel, abs_,
+                                                                 bound) -> None:
+        edge = bound * (1 + rel) + abs_
+        assert Claim.at_most("c", "exact", edge, bound, rel=rel, abs=abs_).ok is True
+        past = math.nextafter(edge, math.inf)
+        assert Claim.at_most("c", "exact", past, bound, rel=rel, abs=abs_).ok is False
+
+    @pytest.mark.parametrize("rel, abs_", PADS)
+    @pytest.mark.parametrize("bound", BOUNDS)
+    def test_at_least_holds_at_its_padded_edge_and_fails_past_it(self, rel, abs_,
+                                                                  bound) -> None:
+        edge = bound * (1 - rel) - abs_
+        assert Claim.at_least("c", "exact", edge, bound, rel=rel, abs=abs_).ok is True
+        past = math.nextafter(edge, -math.inf)
+        assert Claim.at_least("c", "exact", past, bound, rel=rel, abs=abs_).ok is False
+
+    def test_verdict_is_a_python_bool(self) -> None:
+        # numpy operands would give np.bool_, which JSON cannot write
+        claim = Claim.at_most("c", "exact", np.float64(1.0), np.float64(2.0))
+        assert type(claim.ok) is bool
+
+    def test_as_dict(self) -> None:
+        assert Claim("c", "exact", 3).as_dict() == {"name": "c", "kind": "exact",
+                                                    "value": 3}
+        claim = Claim.at_least("c", "certified-bound", 2.0, 1.0)
+        assert list(claim.as_dict().items()) == [
+            ("name", "c"), ("kind", "certified-bound"), ("value", 2.0),
+            ("bound", 1.0), ("ok", True)]
 
 
 class TestMultiplicativeCertificate:
