@@ -207,19 +207,28 @@ def count_spectral(form: LinearForm, weights) -> CountReport:
                        method="spectral", wrap_modulus=W)
 
 
+class _Verdict:
+    """A report whose verdict is its `claim`'s."""
+
+    @property
+    def ok(self) -> bool:
+        return self.claim.ok
+
+
 @dataclass(frozen=True)
-class TransferErrorReport:
+class TransferErrorReport(_Verdict):
     """Certified telescoping budget for |count(f) - count(g)|."""
 
     delta: float
     sup_err: float
     count_f: float
     count_g: float
-    claim: Claim
 
     @property
-    def ok(self) -> bool:
-        return self.claim.ok
+    def claim(self) -> Claim:
+        return Claim.at_most("transfer", "certified-bound",
+                             abs(self.count_f - self.count_g), self.delta,
+                             rel=1e-9, abs=1e-9)
 
     def as_dict(self) -> dict:
         return {"delta": self.delta, "sup_err": self.sup_err,
@@ -254,13 +263,11 @@ def transfer_error_bound(form: LinearForm, f: DiscreteSignal, g: DiscreteSignal,
     delta = sup.certified_upper * s * m2 ** 2 * m1 ** (s - 3)
     cf = count_weighted(form, [f] * s).total if count_f is None else count_f
     cg = count_weighted(form, [g] * s).total if count_g is None else count_g
-    claim = Claim.at_most("transfer", "certified-bound", abs(cf - cg), delta,
-                          rel=1e-9, abs=1e-9)
-    return TransferErrorReport(delta, sup.certified_upper, cf, cg, claim)
+    return TransferErrorReport(delta, sup.certified_upper, count_f=cf, count_g=cg)
 
 
 @dataclass(frozen=True)
-class ThresholdReport:
+class ThresholdReport(_Verdict):
     """B = {x : g(x) >= delta/2} with the Hoelder size certificate."""
 
     elements: np.ndarray = field(repr=False)
@@ -284,10 +291,6 @@ class ThresholdReport:
     def claim(self) -> Claim:
         return Claim.at_least("threshold_floor", "exact", self.size,
                               self.certified_floor, rel=1e-12)
-
-    @property
-    def ok(self) -> bool:
-        return self.claim.ok
 
     def indicator(self) -> DiscreteSignal:
         """1_B on [min B, max B]; the zero signal when B is empty."""
@@ -335,15 +338,15 @@ def threshold_extract(g: DiscreteSignal, delta: float, N: int,
 
 
 @dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(_Verdict):
     count_g: float
     count_indicator: float
     factor: float
-    claim: Claim
 
     @property
-    def ok(self) -> bool:
-        return self.claim.ok
+    def claim(self) -> Claim:
+        return Claim.at_least("count_comparison", "certified-bound", self.count_g,
+                              self.factor * self.count_indicator, rel=1e-9, abs=1e-9)
 
     def as_dict(self) -> dict:
         return {"count_g": self.count_g, "count_indicator": self.count_indicator,
@@ -362,6 +365,4 @@ def count_comparison(form: LinearForm, g: DiscreteSignal,
     ind = threshold.indicator()
     cb = count_weighted(form, [ind] * s).total
     factor = (threshold.delta / 2.0) ** s
-    claim = Claim.at_least("count_comparison", "certified-bound", cg, factor * cb,
-                           rel=1e-9, abs=1e-9)
-    return ComparisonReport(count_g=cg, count_indicator=cb, factor=factor, claim=claim)
+    return ComparisonReport(count_g=cg, count_indicator=cb, factor=factor)

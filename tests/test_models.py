@@ -563,3 +563,193 @@ class TestModelClaims:
         verdicts = [c["ok"] for c in data["claims"] if "ok" in c]
         assert len(verdicts) == len(data["claims"]) - 1
         assert data["ok"] is all(verdicts) is not capped
+
+
+class TestHahnBanachWarmStart:
+    @staticmethod
+    def _instance(N, seed):
+        nu = make_random_sparse(N, 2 / 3, seed=seed)
+        f, _ = select_subset(nu, 0.5, "structured", seed)
+        return f, nu
+
+    @pytest.mark.parametrize("N, seed", [(300, 7), (1000, 0)])
+    def test_cold_solve_of_final_rows_agrees(self, N, seed, monkeypatch) -> None:
+        from scipy.optimize import linprog
+
+        f, nu = self._instance(N, seed)
+        made = []
+
+        def record(*args):
+            made.append(_hb_constraint_row(*args))
+            return made[-1]
+
+        monkeypatch.setattr(models, "_hb_constraint_row", record)
+        rep = hahn_banach_model(f, nu)
+        assert rep.checks["converged"]
+        assert rep.checks["rounds_constraints"] == len(made)
+        A, b = zip(*made)
+        cost = np.zeros(N + 1)
+        cost[N] = 1.0
+        res = linprog(cost, A_ub=np.array(A), b_ub=np.array(b),
+                      bounds=[(0.0, 1.0)] * N + [(0.0, None)], method="highs")
+        assert res.success
+        assert res.x[N] == pytest.approx(rep.checks["t_star"], rel=1e-9)
+
+    @pytest.mark.parametrize("N, seed", [(300, 7), (600, 11)])
+    def test_each_row_reaches_the_solver_once(self, N, seed, monkeypatch) -> None:
+        f, nu = self._instance(N, seed)
+        made, passed, rounds = [], [], []
+        solve = models.linprog
+        transform = models.grid_fourier
+
+        def record_row(*args):
+            made.append(_hb_constraint_row(*args))
+            return made[-1]
+
+        def record_solve(*args, **kwargs):
+            passed.append((kwargs["A_ub"], kwargs["b_ub"]))
+            return solve(*args, **kwargs)
+
+        def record_transform(sig, grid):
+            rounds.append(grid.M)
+            return transform(sig, grid)
+
+        monkeypatch.setattr(models, "_hb_constraint_row", record_row)
+        monkeypatch.setattr(models, "linprog", record_solve)
+        monkeypatch.setattr(models, "grid_fourier", record_transform)
+        rep = hahn_banach_model(f, nu)
+        assert sum(A.shape[0] for A, _ in passed) == rep.checks["rounds_constraints"]
+        # in the order they were made, each row once
+        assert np.array_equal(np.vstack([A for A, _ in passed]),
+                              np.array([row for row, _ in made]))
+        assert np.array_equal(np.concatenate([b for _, b in passed]),
+                              np.array([b for _, b in made]))
+        # one solve per LP round: fhat once, then ghat after every solve
+        assert len(passed) == len(rounds) - 1 >= 2
+
+    def test_round_without_new_rows_ends_the_loop(self, monkeypatch) -> None:
+        # at tol = 0 rounding leaves a violated j whose rows are all in the LP;
+        # re-solving the same LP would return the same g up to the round cap
+        f, nu = self._instance(300, 7)
+        sizes = []
+        solve = models.linprog
+
+        def record_solve(*args, **kwargs):
+            sizes.append(kwargs["A_ub"].shape[0])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(models, "linprog", record_solve)
+        rep = hahn_banach_model(f, nu, tol=0.0)
+        assert len(sizes) < models.HB_MAX_ROUNDS
+        assert min(sizes) >= 1
+        assert not rep.checks["converged"]
+        assert "row_generation_cap_reached" in rep.flags
+
+
+@pytest.fixture(scope="module", params=[(1025, 7), (1500, 0)], ids=["N1025", "N1500"])
+def hb_class_sum_run(request):
+    """One HB run at N > 1024 with every row it made and every solve it ran."""
+    N, seed = request.param
+    nu = make_random_sparse(N, 2 / 3, seed=seed)
+    f, _ = select_subset(nu, 0.5, "structured", seed)
+    rows, solves = [], []
+    solve = models.linprog
+
+    def record_row(*args):
+        rows.append(_hb_constraint_row(*args))
+        return rows[-1]
+
+    def record_solve(*args, **kwargs):
+        x = solve(*args, **kwargs)
+        solves.append((kwargs["A_ub"].shape, x))
+        return x
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(models, "_hb_constraint_row", record_row)
+        mp.setattr(models, "linprog", record_solve)
+        rep = hahn_banach_model(f, nu)
+    return f, nu, rep, rows, solves
+
+
+class TestHahnBanachClassSums:
+    """Past N = M the LP's columns are g's sums over the residue classes mod M."""
+
+    def test_every_solve_has_one_column_per_class(self, hb_class_sum_run) -> None:
+        *_, rep, _, solves = hb_class_sum_run
+        assert rep.params["grid_M"] == 1024
+        assert len(solves) >= 2
+        # 1024 class columns and t
+        assert {shape[1] for shape, _ in solves} == {1025}
+
+    def test_full_width_cold_solve_agrees(self, hb_class_sum_run) -> None:
+        from scipy.optimize import linprog
+
+        f, nu, rep, rows, _ = hb_class_sum_run
+        N, M = nu.N, rep.params["grid_M"]
+        assert rep.checks["converged"]
+        A, b = zip(*rows)
+        A = np.array(A)
+        # g(n) enters every row through the column of its class, (n - 1) mod M
+        wide = np.hstack([A[:, np.arange(N) % M], A[:, -1:]])
+        cost = np.zeros(N + 1)
+        cost[N] = 1.0
+        res = linprog(cost, A_ub=wide, b_ub=np.array(b),
+                      bounds=[(0.0, 1.0)] * N + [(0.0, None)], method="highs")
+        assert res.success
+        assert res.x[N] == pytest.approx(rep.checks["t_star"], rel=1e-9)
+
+    def test_g_is_a_bounded_split_of_the_columns(self, hb_class_sum_run) -> None:
+        _, nu, rep, _, solves = hb_class_sum_run
+        N, M = nu.N, rep.params["grid_M"]
+        g = rep.g
+        assert (g.support_lo, len(g.values)) == (1, N)
+        assert np.all((g.values >= 0.0) & (g.values <= 1.0))
+        sums = np.bincount(np.arange(N) % M, weights=g.values, minlength=M)
+        G = solves[-1][1][:M]
+        assert np.max(np.abs(sums - G)) <= 1e-12
+
+    def test_g_is_the_l1_nearest_split(self, hb_class_sum_run) -> None:
+        f, nu, rep, _, solves = hb_class_sum_run
+        N, M = nu.N, rep.params["grid_M"]
+        fv = np.zeros(N)
+        fv[f.indices - 1] = f.values  # 0 <= f <= nu lives on [1, N]
+        oracle = _l1_fibre_minimum(fv, np.arange(N) % M, solves[-1][1][:M])
+        assert rep.fourier_err.l1_norm == pytest.approx(oracle, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_spread_attains_the_fibre_minimum(self, seed) -> None:
+        # classes of 3 or 2 points, targets with ties at 0 and 1, f above 1 too
+        rng = np.random.default_rng(seed)
+        N, K = 19, 7
+        fv = rng.choice([0.0, 0.3, 1.0, 1.7, rng.random()], N)
+        members = np.zeros(3 * K)
+        members[:N] = 1.0
+        target = np.zeros(3 * K)
+        target[:N] = np.minimum(fv, 1.0)
+        members, target = members.reshape(3, K), target.reshape(3, K)
+        G = rng.random(K) * members.sum(axis=0)
+        G[:2] = (0.0, members[:, 1].sum())  # an empty class and a full one
+        g = models._hb_spread(G, target, members)[:N]
+        assert np.all((g >= 0.0) & (g <= 1.0))
+        classes = np.arange(N) % K
+        assert np.max(np.abs(np.bincount(classes, weights=g, minlength=K) - G)) <= 1e-12
+        assert np.sum(np.abs(fv - g)) == pytest.approx(
+            _l1_fibre_minimum(fv, classes, G), rel=1e-9, abs=1e-12)
+
+
+def _l1_fibre_minimum(fv: np.ndarray, classes: np.ndarray, G: np.ndarray) -> float:
+    """min sum |f - g| over g in [0, 1]^N with class sums G, as an LP in (g, s)."""
+    from scipy.optimize import linprog
+    from scipy.sparse import eye, hstack, vstack
+
+    N, K = len(fv), len(G)
+    I = eye(N, format="csr")
+    A_eq = np.zeros((K, 2 * N))
+    A_eq[classes, np.arange(N)] = 1.0
+    # s >= f - g and s >= g - f
+    res = linprog(np.r_[np.zeros(N), np.ones(N)],
+                  A_ub=vstack([hstack([-I, -I]), hstack([I, -I])]), b_ub=np.r_[-fv, fv],
+                  A_eq=A_eq, b_eq=G, bounds=[(0.0, 1.0)] * N + [(0.0, None)] * N,
+                  method="highs")
+    assert res.success
+    return res.fun

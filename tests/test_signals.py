@@ -217,10 +217,6 @@ class TestCertifiedSup:
         assert not any(smooth(m) for m in range(need, M))
 
 
-BRUTE_GRID = FrequencyGrid(1 << 21)
-
-
-
 class TestClaim:
     # the (rel, abs) pads the package decides its verdicts with
     PADS = [(0.0, 0.0), (1e-12, 0.0), (1e-9, 0.0), (1e-12, 1e-12), (1e-9, 1e-9)]
@@ -256,6 +252,9 @@ class TestClaim:
         assert list(claim.as_dict().items()) == [
             ("name", "c"), ("kind", "certified-bound"), ("value", 2.0),
             ("bound", 1.0), ("ok", True)]
+
+
+BRUTE_GRID = FrequencyGrid(1 << 21)
 
 
 class TestMultiplicativeCertificate:
