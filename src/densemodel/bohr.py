@@ -101,13 +101,14 @@ def spectrum(f: DiscreteSignal, nu: Majorant, eta: float,
     if not 0 < eta <= 1:
         raise ValidationError("spectrum needs 0 < eta <= 1")
     N = nu.N
-    need = math.ceil(4 * math.pi * N / eta)
-    capped = need > m_cap
+    need = 4 * math.pi * N / eta  # inf for a subnormal eta
+    capped = need > m_cap  # ceil(need) > m_cap, m_cap being an integer
     if capped and strict:
+        need = math.ceil(need) if need < math.inf else need
         raise ResourceError(f"spectrum grid M={need} exceeds cap {m_cap}")
     # M must not pass m_cap, which rounding up may; clamping need first keeps
     # the 5-smooth search at m_cap's size however small eta is
-    M = min(next_fast_len(min(need, m_cap)), m_cap)
+    M = min(next_fast_len(math.ceil(min(need, m_cap))), m_cap)
     threshold = eta * nu.l1_mass
     grid = FrequencyGrid(M)
     rho = grid_fourier_rounding(f, grid)
@@ -241,7 +242,9 @@ def bohr_enumerate(freqs, eps: float, N: int) -> BohrSet:
         dist = circle_distance(np.outer(cands, chunk))
         cands = cands[np.all(dist <= bound, axis=1)]
     r = len(freqs)
-    floor_val = 0.5 * eps * N * math.ceil(2.0 / eps) ** (-r)
+    # 2 / eps is inf for a subnormal eps, and ceil(2 / eps)^(-r) is then 0 for r >= 1
+    q = 2.0 / eps
+    floor_val = 0.5 * eps * N * (math.ceil(q) ** (-r) if q < math.inf else 0.0 ** r)
     # cands[0] = 0, which every frequency keeps
     return BohrSet(frequencies=freqs, eps=eps, N=N,
                    elements=np.concatenate((-cands[:0:-1], cands)),

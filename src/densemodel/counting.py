@@ -115,8 +115,12 @@ def count_weighted(form: LinearForm, weights) -> CountReport:
         prod = prod * _dilated(halves[id(w)], c, W)
     re = prod.real
     total = re[0] + 2.0 * np.sum(re[1:(W + 1) // 2]) + (re[W // 2] if W % 2 == 0 else 0.0)
-    return CountReport(total=float(total / W), diagonal=_diagonal(weights),
-                       method="half-spectrum", wrap_modulus=W)
+    report = CountReport(total=float(total / W), diagonal=_diagonal(weights),
+                         method="half-spectrum", wrap_modulus=W)
+    if not math.isfinite(report.total) or not math.isfinite(report.diagonal):
+        raise ValidationError(f"weighted count is not finite (total {report.total}, "
+                              f"diagonal {report.diagonal}): the weights are too large")
+    return report
 
 
 def count_brute(form: LinearForm, weights) -> CountReport:

@@ -20,7 +20,6 @@ from .signals import (
     DiscreteSignal,
     convolve,
     default_grid,
-    exact_sum,
     fft_rounding_bound,
     fourier_sup_diff,
     lp_norm,
@@ -129,7 +128,7 @@ class Majorant:
         property at even p), and int |phihat|^4 = ||phi * phi||_2^2.
         """
         a = self.autocorrelation
-        return exact_sum(a * a) * self.N / self.l1_mass ** 4
+        return float(np.sum(a * a)) * self.N / self.l1_mass ** 4
 
     @cached_property
     def theta_decay(self) -> float:

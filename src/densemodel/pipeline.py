@@ -104,6 +104,10 @@ class PipelineConfig:
             raise ValidationError("config: delta must lie in [0, 1]")
         if self.seed < 0:
             raise ValidationError("config: seed must be >= 0")
+        for f in dataclasses.fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValidationError(f"config: {f.name} must be finite")
         LinearForm(self.form)
 
     def as_dict(self) -> dict:
@@ -141,6 +145,8 @@ class PipelineConfig:
             val = val.strip()
             if key not in kinds:
                 raise ValidationError(f"config line {ln}: unknown key {key!r}")
+            if key in kwargs:
+                raise ValidationError(f"config line {ln}: duplicate key {key!r}")
             default = getattr(cls(), key)
             try:
                 if key == "form":
@@ -196,9 +202,14 @@ class PipelineReport:
 def canonical_json(data: dict) -> str:
     """Deterministic serialization: sorted keys, fixed separators, repr floats.
 
-    Every value is made JSON-native where it is computed; this only writes.
+    Every value is made JSON-native where it is computed; this only writes,
+    and refuses NaN and infinities, which RFC 8259 JSON lacks.
     """
-    return json.dumps(data, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+    try:
+        return json.dumps(data, sort_keys=True, indent=2, separators=(",", ": "),
+                          allow_nan=False) + "\n"
+    except ValueError as e:
+        raise ValidationError(f"output is not JSON: {e}") from e
 
 
 def _entry(table: dict, name: str, what: str):
@@ -231,7 +242,7 @@ def select_subset(nu: Majorant, delta: float, selection: str,
     if delta == 0.0 or len(supp) == 0:
         return DiscreteSignal.zero(), 0
     if selection == "structured":
-        step = math.ceil(1.0 / delta)
+        step = math.ceil(min(1.0 / delta, len(supp)))  # 1 / delta may be inf
         chosen = supp[::step]
     else:
         rng = np.random.default_rng(seed)

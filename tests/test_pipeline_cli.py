@@ -81,6 +81,10 @@ class TestConfig:
         with pytest.raises(Exception, match="delta"):
             PipelineConfig.from_text("delta = 1.5\n")
 
+    def test_duplicate_key_rejected(self) -> None:
+        with pytest.raises(ValidationError, match="config line 2: duplicate key 'N'"):
+            PipelineConfig.from_text("N = 300\nN = 400\n")
+
     def test_write_into_missing_directory_refused(self, tmp_path) -> None:
         path = tmp_path / "absent" / "run.cfg"
         with pytest.raises(ValidationError, match=f"{path}: cannot write: "):
@@ -297,6 +301,76 @@ class TestCli:
         code = main(["bohr", "--eps", "0.2", "--N", "100", "--strict"])
         capsys.readouterr()
         assert code == EXIT_OK  # no flags raised here
+
+
+class TestExtremeInputs:
+    """Inputs at the edge of the float range end in a report or an error
+    message, never in a traceback or in output that is not JSON."""
+
+    def _run(self, capsys, tmp_path, monkeypatch, argv, files=()) -> tuple:
+        monkeypatch.chdir(tmp_path)
+        for name, text in files:
+            (tmp_path / name).write_text(text)
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        return code, out, err
+
+    @pytest.mark.parametrize("freqs, floor", [("", 5e-308), ("0.1", 0.0)])
+    def test_subnormal_bohr_eps(self, capsys, tmp_path, monkeypatch, freqs, floor) -> None:
+        # 2 / eps overflows: ceil(2 / eps)^(-r) is 1 at r = 0 and 0 at r >= 1
+        argv = ["bohr", "--eps", "1e-308", "--N", "10"] + (["--freqs", freqs] if freqs else [])
+        code, out, _ = self._run(capsys, tmp_path, monkeypatch, argv)
+        assert code == EXIT_OK
+        assert json.loads(out)["pigeonhole_floor"] == floor
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_subnormal_spectrum_eta(self, capsys, tmp_path, monkeypatch, strict) -> None:
+        # 4 pi N / eta overflows: the grid is capped, and --strict refuses it
+        argv = ["densify", "--variant", "green", "--N", "200", "--eps", "0.1",
+                "--eta", "1e-320"] + (["--strict"] if strict else [])
+        code, out, err = self._run(capsys, tmp_path, monkeypatch, argv)
+        if strict:
+            assert code == EXIT_RESOURCE
+            assert err == "error: spectrum grid M=inf exceeds cap 4194304\n"
+        else:
+            assert code == EXIT_OK
+            assert "spectrum_grid_capped" in json.loads(out)["flags"]
+
+    def test_subnormal_delta(self, capsys, tmp_path, monkeypatch) -> None:
+        # 1 / delta overflows: the structured step is |S|, which keeps one point
+        code, out, _ = self._run(capsys, tmp_path, monkeypatch,
+                                 ["pipeline", "--config", "d.cfg"],
+                                 [("d.cfg", "N = 500\ndelta = 1e-320\n")])
+        assert code == EXIT_OK
+        assert json.loads(out)["subset"]["size"] == 1
+
+    def test_nan_tol_refused_when_the_variant_ignores_it(self, capsys, tmp_path,
+                                                         monkeypatch) -> None:
+        code, out, err = self._run(capsys, tmp_path, monkeypatch,
+                                   ["pipeline", "--variant", "hdr", "--N", "300",
+                                    "--tol", "nan"])
+        assert (code, out, err) == (EXIT_VALIDATION, "", "error: config: tol must be finite\n")
+
+    def test_infinite_config_p_refused(self, capsys, tmp_path, monkeypatch) -> None:
+        code, out, err = self._run(capsys, tmp_path, monkeypatch,
+                                   ["pipeline", "--config", "p.cfg"],
+                                   [("p.cfg", "variant = green\nN = 300\np = inf\n")])
+        assert (code, out, err) == (EXIT_VALIDATION, "", "error: config: p must be finite\n")
+
+    def test_overflowing_count_refused(self, capsys, tmp_path, monkeypatch) -> None:
+        rows = "".join(f"{n},1e300\n" for n in range(1, 6))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = self._run(capsys, tmp_path, monkeypatch,
+                                       ["count", "--form", "1,1,-2", "--weights", "w.csv"],
+                                       [("w.csv", "n,value\n" + rows)])
+        assert code == EXIT_VALIDATION and out == ""
+        assert "weighted count is not finite" in err
+
+    def test_canonical_json_refuses_non_finite_floats(self) -> None:
+        for value in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValidationError, match="output is not JSON"):
+                canonical_json({"x": [value]})
 
 
 class TestCountReuse:
