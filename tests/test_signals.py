@@ -437,25 +437,68 @@ class TestNorms:
             lp_norm(DiscreteSignal.interval(3), 0.5)
 
 
-def test_long_sums_are_within_the_float_sum_bound() -> None:
-    """lp_norm and fourier_eval sum with numpy at every length: each sum of n
-    terms lies within (n - 1) u sum |x_i| of the exact sum, read from fsum."""
+def _float_sum_families():
     rng = np.random.default_rng(3)
-    n = 100_000
-    f = DiscreteSignal(-7, rng.standard_normal(n) * np.exp2(rng.integers(-30, 30, n)))
+    for n in (1, 2, 3, 17, 1000, 1 << 20):
+        yield f"normal n={n}", rng.standard_normal(n)
+    for n in (5, 1000, 100_000):
+        # exponents over +-400 binades: every square stays finite
+        yield f"wide n={n}", rng.standard_normal(n) * np.exp2(rng.integers(-400, 400, n))
+    for n in (1000, 40_000):
+        # cancellation down to a tiny remainder: the bound reads sum |x_i|
+        a = rng.standard_normal(n) * np.exp2(rng.integers(-30, 30, n))
+        yield f"cancel n={n}", np.concatenate((a, -a[::-1], [3e-300]))
+    yield "subnormal n=1000", rng.integers(-2 ** 52, 2 ** 52, 1000) * 2.0 ** -1074
+    a = rng.standard_normal(40_000) * np.exp2(rng.integers(-60, 60, 40_000))
+    a[rng.random(40_000) < 0.97] = 0.0
+    yield "mostly zero n=40000", a
+    yield "negative zeros n=10", np.full(10, -0.0)
 
-    def assert_within(got: float, terms: np.ndarray) -> None:
+
+FLOAT_SUM_FAMILIES = list(_float_sum_families())
+
+
+class TestFloatSumBound:
+    """lp_norm and fourier_eval sum with numpy at every length: a sum of n
+    terms lies within (n - 1) u sum |x_i| of the exact sum, read from fsum."""
+
+    ALPHA = 0.1234567
+
+    @staticmethod
+    def _assert_within(got: float, terms: np.ndarray) -> None:
         bound = (len(terms) - 1) * UNIT_ROUNDOFF * math.fsum(np.abs(terms))
         assert abs(got - math.fsum(terms)) <= bound
 
-    a = np.abs(f.values)
-    assert_within(lp_norm(f, 1), a)
-    assert_within(lp_norm(f, 2) ** 2, a * a)
-    alpha = 0.1234567
-    terms = f.values * np.exp(2j * np.pi * alpha * f.indices.astype(np.float64))
-    fhat = fourier_eval(f, alpha)
-    assert_within(fhat.real, terms.real)
-    assert_within(fhat.imag, terms.imag)
+    @pytest.mark.parametrize("name, x", FLOAT_SUM_FAMILIES,
+                             ids=[name for name, _ in FLOAT_SUM_FAMILIES])
+    def test_l1_norm(self, name, x) -> None:
+        self._assert_within(lp_norm(DiscreteSignal(-7, x), 1), np.abs(x))
+
+    @pytest.mark.parametrize("name, x", FLOAT_SUM_FAMILIES,
+                             ids=[name for name, _ in FLOAT_SUM_FAMILIES])
+    def test_l2_norm(self, name, x) -> None:
+        # s = float sum of x_i^2 is within (n - 1) u S of the exact S, so
+        # sqrt(s) is within (n - 1) u sqrt(S) of sqrt(S); the rounding of
+        # lp_norm's sqrt and of the reference's fsum and sqrt add 3u
+        root = math.sqrt(math.fsum(x * x))
+        assert abs(lp_norm(DiscreteSignal(-7, x), 2) - root) <= (len(x) + 2) * UNIT_ROUNDOFF * root
+
+    @pytest.mark.parametrize("name, x", FLOAT_SUM_FAMILIES,
+                             ids=[name for name, _ in FLOAT_SUM_FAMILIES])
+    def test_signed_sum(self, name, x) -> None:
+        # e(0 n) = 1 exactly, so fhat(0) is the plain sum of the values
+        fhat = fourier_eval(DiscreteSignal(-7, x), 0.0)
+        self._assert_within(fhat.real, x)
+        assert fhat.imag == 0.0
+
+    @pytest.mark.parametrize("name, x", FLOAT_SUM_FAMILIES,
+                             ids=[name for name, _ in FLOAT_SUM_FAMILIES])
+    def test_fourier_eval(self, name, x) -> None:
+        f = DiscreteSignal(-7, x)
+        terms = x * np.exp(2j * np.pi * self.ALPHA * f.indices.astype(np.float64))
+        fhat = fourier_eval(f, self.ALPHA)
+        self._assert_within(fhat.real, terms.real)
+        self._assert_within(fhat.imag, terms.imag)
 
 
 class TestCsvRoundTrip:
