@@ -109,14 +109,16 @@ def count_weighted(form: LinearForm, weights) -> CountReport:
         raise ValidationError("need one weight per coefficient")
     W = _wrap_modulus(form, weights)
     halves, prod = {}, 1.0
-    for c, w in zip(form.coeffs, weights):
-        if id(w) not in halves:
-            halves[id(w)] = grid_fourier(w, FrequencyGrid(W))
-        prod = prod * _dilated(halves[id(w)], c, W)
-    re = prod.real
-    total = re[0] + 2.0 * np.sum(re[1:(W + 1) // 2]) + (re[W // 2] if W % 2 == 0 else 0.0)
-    report = CountReport(total=float(total / W), diagonal=_diagonal(weights),
-                         method="half-spectrum", wrap_modulus=W)
+    # weights too large overflow to inf or nan, which the check below refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c, w in zip(form.coeffs, weights):
+            if id(w) not in halves:
+                halves[id(w)] = grid_fourier(w, FrequencyGrid(W))
+            prod = prod * _dilated(halves[id(w)], c, W)
+        re = prod.real
+        total = re[0] + 2.0 * np.sum(re[1:(W + 1) // 2]) + (re[W // 2] if W % 2 == 0 else 0.0)
+        report = CountReport(total=float(total / W), diagonal=_diagonal(weights),
+                             method="half-spectrum", wrap_modulus=W)
     if not math.isfinite(report.total) or not math.isfinite(report.diagonal):
         raise ValidationError(f"weighted count is not finite (total {report.total}, "
                               f"diagonal {report.diagonal}): the weights are too large")

@@ -401,12 +401,15 @@ def hahn_banach_model(f: DiscreteSignal, nu: Majorant,
     Minimizes t subject to D-direction linearizations of |fhat - ghat| <= t at
     grid frequencies, D = HB_DIRECTIONS, generating rows lazily from g = 0 and
     t = 0: each round adds, at the 24 strongest frequencies with
-    |fhat - ghat| cos(pi/D) > t + tol (tol finite and >= 0), the direction
-    nearest the phase of fhat - ghat and its two neighbours.  f and g are real,
-    so the row at (M - j, -psi) is the row at (j, psi) and only 0 <= j <= M/2
-    is scanned.  One HiGHS model gains each new row once and re-solves from its
-    last basis.  The LP value t* lower bounds the relaxed optimum; the returned
-    g is feasible, so its certified Fourier error bounds it above.
+    |fhat - ghat| cos(pi/D) > t + tol (tol finite and >= 0), the one row of
+    the direction psi_d nearest the phase of fhat - ghat.  That row is
+    violated, as Re(z e^(-i psi_d)) >= |z| cos(pi/D), so short of rounding it
+    is not yet in the LP and every round adds a row until none is violated.
+    f and g are real, so the row at (M - j, -psi) is the row at (j, psi) and
+    only 0 <= j <= M/2 is scanned.  One HiGHS model gains each new row once
+    and re-solves from its last basis.  The LP value t* lower bounds the
+    relaxed optimum; the returned g is feasible, so its certified Fourier
+    error bounds it above.
 
     ghat on the grid sees g only through its sums G_k over the residue classes
     of [1, N] mod M, and g -> G maps [0, 1]^N onto the box of 0 <= G_k <=
@@ -451,14 +454,13 @@ def hahn_banach_model(f: DiscreteSignal, nu: Majorant,
             diff = fhat[j] - ghat[j]
             phase = math.atan2(diff.imag, diff.real)
             d = int(round(phase / (2 * math.pi / HB_DIRECTIONS))) % HB_DIRECTIONS
-            for dd in (d, (d + 1) % HB_DIRECTIONS, (d - 1) % HB_DIRECTIONS):
-                if j == 0 or 2 * j == M:
-                    dd = min(dd, -dd % HB_DIRECTIONS)
-                if (j, dd) not in rows:
-                    rows.add((j, dd))
-                    new.append(_hb_constraint_row(K, j / M, float(psis[dd]), fhat[j]))
+            if j == 0 or 2 * j == M:
+                d = min(d, -d % HB_DIRECTIONS)
+            if (j, d) not in rows:
+                rows.add((j, d))
+                new.append(_hb_constraint_row(K, j / M, float(psis[d]), fhat[j]))
         if not new:
-            break  # every row at the violated j is in: a re-solve returns the same g
+            break  # the row at each violated j is in: a re-solve returns the same g
         A, b = zip(*new)
         x = linprog(highs, A_ub=np.array(A), b_ub=np.array(b))
         solves += 1

@@ -192,8 +192,9 @@ class CertifiedSup:
     """Two-sided certificate for sup |dhat| over the circle, from a grid evaluation.
 
     The upper end is the smaller of two rigorous bounds: the grid maximum plus
-    lipschitz_slack, and the trivial |dhat(alpha)| <= ||d||_1.  The key keeps
-    its name, but `certify_sup` stores in it the margin of its multiplicative
+    lipschitz_slack, and the trivial |dhat(alpha)| <= ||d||_1, which l1_norm
+    holds rounded up past the float sum's error.  lipschitz_slack keeps its
+    name, but `certify_sup` stores in it the margin of its multiplicative
     bound over grid_max, capped at ||d||_1.  grid_M is the M of the grid it
     was read on, None for one built by hand; it is not serialised.
     """
@@ -338,7 +339,7 @@ def lp_norm(f: DiscreteSignal, p: float) -> float:
     (Higham, Accuracy and Stability of Numerical Algorithms, ch. 4).  The
     constant C of `fft_rounding_bound` and the 1e-9 relative pads of the
     claims that read a norm cover this error, and `certify_sup`'s trivial
-    bound ||d||_1 is this float sum.
+    bound ||d||_1 is this float sum rounded up by that bound.
     """
     if p == math.inf:
         return float(np.max(np.abs(f.values)))
@@ -383,7 +384,8 @@ def certify_sup(d: DiscreteSignal, dhat: np.ndarray, grid: FrequencyGrid,
     real, so the other half has the same moduli), each within rho of its
     exact value: rho is the `grid_fourier_rounding` bound of the transform(s)
     dhat was formed from.  grid_max is attained on the grid, hence a valid
-    lower bound.  The upper bound is the smaller of ||d||_1 and, when
+    lower bound.  The upper bound is the smaller of ||d||_1 (its float sum,
+    rounded up) and, when
     M > 2 H_c, H_c = ceil((hi - lo)/2) the half-width of d's window [lo, hi],
     (grid_max + rho) / cos(pi H_c / M), rounded up.  This is the van der
     Corput-Schaake (Szego) inequality T'^2 + n^2 T^2 <= n^2 ||T||_inf^2 for
@@ -399,7 +401,10 @@ def certify_sup(d: DiscreteSignal, dhat: np.ndarray, grid: FrequencyGrid,
     if M < 2:
         raise ValidationError("a Fourier sup certificate needs a grid with M >= 2")
     grid_max = float(np.max(np.abs(dhat)))
-    l1 = lp_norm(d, 1)
+    # the float sum s of the n terms |d_i| is within (n - 1) u ||d||_1 of
+    # ||d||_1, so ||d||_1 <= s / (1 - (n - 1) u), and s (1 + 4 (n - 1) u) is
+    # above that after its own rounding; one term, or a subnormal s, is exact
+    l1 = lp_norm(d, 1) * (1.0 + 4.0 * (len(d.values) - 1) * UNIT_ROUNDOFF)
     slack = l1
     H_c = -(-(d.support_hi - d.support_lo) // 2)
     if M > 2 * H_c:

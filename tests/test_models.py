@@ -753,3 +753,62 @@ def _l1_fibre_minimum(fv: np.ndarray, classes: np.ndarray, G: np.ndarray) -> flo
                   method="highs")
     assert res.success
     return res.fun
+
+
+@pytest.fixture(scope="module", params=[(300, 7), (1000, 0), (1025, 7)],
+                ids=["N300", "N1000", "N1025"])
+def hb_row_run(request):
+    """One HB run with, for each solve, the (j, psi, fhat - ghat at j) of its new rows."""
+    N, seed = request.param
+    nu = make_random_sparse(N, 2 / 3, seed=seed)
+    f, _ = select_subset(nu, 0.5, "structured", seed)
+    transforms, pending, solves = [], [], []
+    solve, transform = models.linprog, models.grid_fourier
+
+    def record_transform(sig, grid):
+        transforms.append(transform(sig, grid))
+        return transforms[-1]
+
+    def record_row(K, alpha, psi, fhat_alpha):
+        j = round(alpha * models.HB_GRID_M)
+        # transforms[0] is fhat; ghat is 0 before the first solve
+        ghat = transforms[-1][j] if len(transforms) > 1 else 0.0
+        pending.append((j, psi, fhat_alpha - ghat))
+        return _hb_constraint_row(K, alpha, psi, fhat_alpha)
+
+    def record_solve(*args, **kwargs):
+        assert kwargs["A_ub"].shape[0] == len(pending)
+        solves.append(list(pending))
+        pending.clear()
+        return solve(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(models, "grid_fourier", record_transform)
+        mp.setattr(models, "_hb_constraint_row", record_row)
+        mp.setattr(models, "linprog", record_solve)
+        rep = hahn_banach_model(f, nu)
+    return rep, solves
+
+
+class TestHahnBanachRowRule:
+    """Each round adds one row per violated frequency: the direction nearest its phase."""
+
+    def test_one_row_per_frequency_at_the_nearest_direction(self, hb_row_run) -> None:
+        rep, solves = hb_row_run
+        D = rep.params["directions"]
+        assert len(solves) >= 2
+        assert sum(map(len, solves)) == rep.checks["rounds_constraints"]
+        for rows in solves:
+            assert len({j for j, _, _ in rows}) == len(rows)
+            for j, psi, diff in rows:
+                off = (psi - math.atan2(diff.imag, diff.real)) % (2 * math.pi)
+                assert min(off, 2 * math.pi - off) <= math.pi / D + 1e-12, (j, psi, diff)
+                # so this row is violated: Re(diff e^(-i psi)) >= |diff| cos(pi/D)
+                assert (diff * complex(math.cos(psi), -math.sin(psi))).real >= \
+                    abs(diff) * math.cos(math.pi / D) * (1 - 1e-12)
+
+    def test_converged_grid_max_within_the_lp_bracket(self, hb_row_run) -> None:
+        rep, _ = hb_row_run
+        assert rep.checks["converged"]
+        D, tol = rep.params["directions"], rep.params["tol"]
+        assert rep.fourier_err.grid_max * math.cos(math.pi / D) <= rep.checks["t_star"] + tol

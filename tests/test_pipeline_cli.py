@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -359,13 +360,16 @@ class TestExtremeInputs:
         assert (code, out, err) == (EXIT_VALIDATION, "", "error: config: p must be finite\n")
 
     def test_overflowing_count_refused(self, capsys, tmp_path, monkeypatch) -> None:
+        # one line on stderr: numpy's overflow warnings must not print before it
         rows = "".join(f"{n},1e300\n" for n in range(1, 6))
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code, out, err = self._run(capsys, tmp_path, monkeypatch,
                                        ["count", "--form", "1,1,-2", "--weights", "w.csv"],
                                        [("w.csv", "n,value\n" + rows)])
-        assert code == EXIT_VALIDATION and out == ""
-        assert "weighted count is not finite" in err
+        assert (code, out, caught) == (EXIT_VALIDATION, "", [])
+        assert err.startswith("error: weighted count is not finite")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_canonical_json_refuses_non_finite_floats(self) -> None:
         for value in (float("nan"), float("inf"), -float("inf")):

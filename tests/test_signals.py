@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -181,13 +182,14 @@ class TestCertifiedSup:
         assert fine.certified_upper <= coarse.certified_upper + 1e-9
 
     def test_upper_capped_by_l1_norm(self) -> None:
-        # at M = 8 the Lipschitz slack 2 pi 50 50 / 16 is far above ||f||_1 = 50
+        # at M = 8 the Lipschitz slack 2 pi 50 50 / 16 is far above ||f||_1 = 50;
+        # the cap is the float sum 50 rounded up past its error bound 49 u 50
         f = DiscreteSignal.interval(50)
         est = fourier_sup_diff(f, DiscreteSignal.zero(), FrequencyGrid(8))
-        assert est.l1_norm == 50.0
-        assert est.grid_max + est.lipschitz_slack > 50.0
-        assert est.certified_upper == 50.0
-        assert est.as_dict()["l1_norm"] == 50.0
+        assert 50.0 < est.l1_norm <= 50.0 * (1 + 4 * 50 * UNIT_ROUNDOFF)
+        assert est.grid_max + est.lipschitz_slack > est.l1_norm
+        assert est.certified_upper == est.l1_norm
+        assert est.as_dict()["l1_norm"] == est.l1_norm
 
     def test_capped_upper_never_below_grid_max(self) -> None:
         # for f >= 0, |fhat(0)| = ||f||_1, and the FFT's sum can round a few
@@ -315,7 +317,8 @@ def three_bound_upper(d: DiscreteSignal, dhat: np.ndarray, grid: FrequencyGrid,
     M = grid.M
     grid_max = float(np.max(np.abs(dhat)))
     H = max(abs(d.support_lo), abs(d.support_hi))
-    l1 = lp_norm(d, 1)
+    # the float sum rounded up past its error (n - 1) u ||d||_1, as certify_sup does
+    l1 = lp_norm(d, 1) * (1.0 + 4.0 * (len(d.values) - 1) * UNIT_ROUNDOFF)
     slack = 2.0 * np.pi * H * l1 * (0.5 / M)
     H_c = -(-(d.support_hi - d.support_lo) // 2)
     if M > 2 * H_c:
@@ -499,6 +502,42 @@ class TestFloatSumBound:
         fhat = fourier_eval(f, self.ALPHA)
         self._assert_within(fhat.real, terms.real)
         self._assert_within(fhat.imag, terms.imag)
+
+
+def _exact_sum(x: np.ndarray) -> Fraction:
+    """sum x_i with no rounding: each x_i is m_i 2^e_i with |m_i| < 2^53 an integer."""
+    mant, expo = np.frexp(x)
+    m = (mant * 2.0 ** 53).astype(np.int64).tolist()
+    e = (expo - 53).tolist()
+    lo = min(e)
+    return Fraction(sum(mi << (ei - lo) for mi, ei in zip(m, e))) * Fraction(2) ** lo
+
+
+class TestL1CapRoundedUp:
+    """The ||d||_1 cap holds against the exact sum, not only the float sum."""
+
+    def test_nonnegative_d_over_40_binades(self) -> None:
+        # d >= 0: sup |dhat| = dhat(0) = sum d exactly; on M = 1024 <= 2 H_c
+        # the cap ||d||_1 is the certificate
+        rng = np.random.default_rng(41)
+        grid = FrequencyGrid(1024)
+        n = 2000
+        for _ in range(300):
+            d = DiscreteSignal(1, rng.random(n) * np.exp2(rng.integers(-20, 21, n)))
+            est = certify_sup(d, grid_fourier(d, grid), grid, grid_fourier_rounding(d, grid))
+            exact = _exact_sum(d.values)
+            assert Fraction(est.certified_upper) >= exact
+            # and it stays tight: (n - 1) u, the 4 (n - 1) u pad and a rounding
+            assert est.certified_upper <= float(exact) * (1 + 6 * n * UNIT_ROUNDOFF)
+
+    @pytest.mark.parametrize("name, x", FLOAT_SUM_FAMILIES,
+                             ids=[name for name, _ in FLOAT_SUM_FAMILIES])
+    def test_float_sum_families(self, name, x) -> None:
+        d = DiscreteSignal(-7, x)
+        est = certify_sup(d, grid_fourier(d, FrequencyGrid(2)), FrequencyGrid(2), 0.0)
+        exact = _exact_sum(np.abs(x))
+        assert Fraction(est.l1_norm) >= exact
+        assert est.l1_norm <= float(exact) * (1 + 6 * len(x) * UNIT_ROUNDOFF)
 
 
 class TestCsvRoundTrip:
