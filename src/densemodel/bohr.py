@@ -75,15 +75,16 @@ class SpectrumSet:
 
 
 def spectrum(f: DiscreteSignal, nu: Majorant, eta: float,
-             m_cap: int = M_CAP_DEFAULT, strict: bool = False) -> SpectrumSet:
+             strict: bool = False) -> SpectrumSet:
     """Intervals j <= M/2 of the eta-level spectrum of f.
 
     M is the first 5-smooth length at or above ceil(4 pi N / eta), the size
-    the covering argument needs; when only this rounding would pass m_cap, M
-    is m_cap itself, which still covers.  `capped` is set, and `strict`
-    refuses, only when ceil(4 pi N / eta) itself passes m_cap.  Only j <= M/2
-    is thresholded: the spectrum of a real f is symmetric, and the Bohr set
-    of the kept representatives equals that of the whole spectrum.
+    the covering argument needs; when only this rounding would pass
+    `M_CAP_DEFAULT`, M is the cap itself, which still covers.  `capped` is
+    set, and `strict` refuses, only when ceil(4 pi N / eta) itself passes the
+    cap.  Only j <= M/2 is thresholded: the spectrum of a real f is
+    symmetric, and the Bohr set of the kept representatives equals that of
+    the whole spectrum.
 
     A grid point is included when its value satisfies |fhat| >= threshold -
     rho, with rho the `grid_fourier_rounding` bound of the fine grid, so no
@@ -102,13 +103,13 @@ def spectrum(f: DiscreteSignal, nu: Majorant, eta: float,
         raise ValidationError("spectrum needs 0 < eta <= 1")
     N = nu.N
     need = 4 * math.pi * N / eta  # inf for a subnormal eta
-    capped = need > m_cap  # ceil(need) > m_cap, m_cap being an integer
+    capped = need > M_CAP_DEFAULT  # ceil(need) > the cap, an integer
     if capped and strict:
         need = math.ceil(need) if need < math.inf else need
-        raise ResourceError(f"spectrum grid M={need} exceeds cap {m_cap}")
-    # M must not pass m_cap, which rounding up may; clamping need first keeps
-    # the 5-smooth search at m_cap's size however small eta is
-    M = min(next_fast_len(math.ceil(min(need, m_cap))), m_cap)
+        raise ResourceError(f"spectrum grid M={need} exceeds cap {M_CAP_DEFAULT}")
+    # M must not pass the cap, which rounding up may; clamping need first keeps
+    # the 5-smooth search at the cap's size however small eta is
+    M = min(next_fast_len(math.ceil(min(need, M_CAP_DEFAULT))), M_CAP_DEFAULT)
     threshold = eta * nu.l1_mass
     grid = FrequencyGrid(M)
     rho = grid_fourier_rounding(f, grid)

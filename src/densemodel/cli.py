@@ -243,9 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weierstrass",
                        help="certified polynomial approximation of x_+ or |x|")
-    p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--n-terms", type=int,
-                   help="build the even |x| approximant at this order instead")
+    target = p.add_mutually_exclusive_group()
+    target.add_argument("--eps", type=float, default=0.1)
+    target.add_argument("--n-terms", type=int,
+                        help="build the even |x| approximant at this order instead")
     p.add_argument("--coefficients", action="store_true")
     _add_common(p)
     p.set_defaults(fn=cmd_weierstrass)

@@ -1,10 +1,9 @@
 """Weighted counting of solutions to c_1 x_1 + ... + c_s x_s = 0, Sum c_i = 0.
 
-The production route transforms each distinct weight once, to its half
-spectrum on Z/W past the form's reach, and reads each dilation as an index
-map on it.  A brute-force nested sum and a direct spectral average provide
-independent oracles.  The transfer-error chain and the threshold-extraction
-certificates used by the sparse pipeline live here too.
+The count transforms each distinct weight once, to its half spectrum on Z/W
+past the form's reach, and reads each dilation as an index map on it.  The
+transfer-error chain and the threshold-extraction certificates used by the
+sparse pipeline live here too.
 """
 
 from __future__ import annotations
@@ -27,8 +26,6 @@ from .signals import (
     next_fast_len,
 )
 
-BRUTE_SIZE_CAP = 10 ** 8
-SPECTRAL_SIZE_CAP = 10 ** 7
 WRAP_MODULUS_CAP = 1 << 26
 
 
@@ -123,94 +120,6 @@ def count_weighted(form: LinearForm, weights) -> CountReport:
         raise ValidationError(f"weighted count is not finite (total {report.total}, "
                               f"diagonal {report.diagonal}): the weights are too large")
     return report
-
-
-def count_brute(form: LinearForm, weights) -> CountReport:
-    """Direct nested summation; the test oracle for count_weighted."""
-    weights = list(weights)
-    if len(weights) != form.s:
-        raise ValidationError("need one weight per coefficient")
-    sizes = [len(w.values) for w in weights]
-    prod_size = math.prod(sizes[:-1])
-    if prod_size > BRUTE_SIZE_CAP:
-        raise ResourceError(f"brute-force size {prod_size} exceeds cap")
-    c = form.coeffs
-    s = form.s
-    last = weights[-1]
-    # iterate over x_1..x_{s-2}, vectorize x_{s-1}, solve for x_s
-    penult = weights[-2]
-    pen_idx = penult.indices
-    pen_vals = penult.values
-    total = 0.0
-
-    def rec(i: int, partial: int, weight_prod: float):
-        nonlocal total
-        if weight_prod == 0.0:
-            return
-        if i == s - 2:
-            rem = -(partial + c[s - 2] * pen_idx)
-            q, r = np.divmod(rem, c[s - 1])
-            ok = (r == 0) & (q >= last.support_lo) & (q <= last.support_hi)
-            if ok.any():
-                lv = last.values[q[ok] - last.support_lo]
-                total += weight_prod * float(np.dot(pen_vals[ok], lv))
-            return
-        w = weights[i]
-        for n, v in zip(w.indices, w.values):
-            rec(i + 1, partial + c[i] * int(n), weight_prod * float(v))
-
-    rec(0, 0, 1.0)
-    return CountReport(total=total, diagonal=_diagonal(weights),
-                       method="brute", wrap_modulus=0)
-
-
-def count_integer(form: LinearForm, weights) -> int:
-    """Exact integer count for integer-valued weights (linear convolutions)."""
-    weights = list(weights)
-    if len(weights) != form.s:
-        raise ValidationError("need one weight per coefficient")
-    for w in weights:
-        if len(w.values) > 10 ** 4:
-            raise ResourceError("integer verification capped at support 10^4")
-        if not np.all(w.values == np.round(w.values)):
-            raise ValidationError("count_integer needs integer-valued weights")
-    # every entry of a partial convolution is at most prod ||w_i||_1 in modulus
-    norms = [sum(abs(int(v)) for v in w.values.tolist()) for w in weights]
-    if math.prod(norms) >= 1 << 63:
-        raise ResourceError("integer count may overflow int64: prod ||w_i||_1 >= 2^63")
-    if 0 in norms:
-        return 0
-    acc, acc_lo = np.ones(1, dtype=np.int64), 0
-    for cf, w in zip(form.coeffs, weights):
-        lo = min(cf * w.support_lo, cf * w.support_hi)
-        buf = np.zeros(abs(cf) * (len(w.values) - 1) + 1, dtype=np.int64)
-        buf[w.indices * cf - lo] = w.values.astype(np.int64)
-        acc = np.convolve(acc, buf)
-        acc_lo += lo
-    return int(acc[-acc_lo]) if acc_lo <= 0 < acc_lo + len(acc) else 0
-
-
-def count_spectral(form: LinearForm, weights) -> CountReport:
-    """Orthogonality route: average of prod_i what_i(c_i j / W) over j.
-
-    Evaluates each spectrum by a direct phase matrix, independently of the FFT
-    route of `count_weighted`.
-    """
-    weights = list(weights)
-    if len(weights) != form.s:
-        raise ValidationError("need one weight per coefficient")
-    W = _wrap_modulus(form, weights)
-    size = W * max(len(w.values) for w in weights)
-    if size > SPECTRAL_SIZE_CAP:
-        raise ResourceError(f"spectral phase matrix size {size} exceeds cap")
-    j = np.arange(W)
-    prod = np.ones(W, dtype=np.complex128)
-    for cf, w in zip(form.coeffs, weights):
-        phases = np.exp(2j * np.pi * np.outer(j, w.indices * cf) / W)
-        prod *= phases @ w.values.astype(np.complex128)
-    total = float(np.mean(prod).real)
-    return CountReport(total=total, diagonal=_diagonal(weights),
-                       method="spectral", wrap_modulus=W)
 
 
 class _Verdict:
@@ -310,14 +219,11 @@ class ThresholdReport(_Verdict):
                 "N": self.N, "flags": list(self.flags), "ok": self.ok}
 
 
-def threshold_extract(g: DiscreteSignal, delta: float, N: int,
-                      variant_k: int = 2) -> ThresholdReport:
-    """Level set B = {g >= delta/2} with floor ((delta/2)^k / C_k)^(1/(k-1)) N.
+def threshold_extract(g: DiscreteSignal, delta: float, N: int) -> ThresholdReport:
+    """Level set B = {g >= delta/2} with the Hoelder floor (delta/2)^2 N / C_k.
 
-    C_k = sum g^k / N.  At k = 2 the floor is the familiar delta^2 N / (4 C).
+    C_k = sum g^k / N at k = 2.
     """
-    if variant_k < 2:
-        raise ValidationError("threshold_extract needs k >= 2")
     # FFT convolutions leave harmless -1e-18 noise; only substantive
     # negativity is a domain error
     neg_tol = 1e-9 * max(1.0, float(np.max(np.abs(g.values))))
@@ -333,12 +239,12 @@ def threshold_extract(g: DiscreteSignal, delta: float, N: int,
         flags.append("density_precondition_failed")
     mask = g.values >= delta / 2.0
     elements = g.indices[mask]
-    C_k = float(np.sum(g.values.astype(np.float64) ** variant_k)) / N
+    C_k = float(np.sum(g.values.astype(np.float64) ** 2)) / N
     if C_k > 0 and delta > 0 and dense_enough:
-        floor_val = ((delta / 2.0) ** variant_k / C_k) ** (1.0 / (variant_k - 1)) * N
+        floor_val = ((delta / 2.0) ** 2 / C_k) * N
     else:
         floor_val = 0.0
-    return ThresholdReport(elements=elements, delta=delta, k=variant_k,
+    return ThresholdReport(elements=elements, delta=delta, k=2,
                            C_k=C_k, certified_floor=floor_val, N=N,
                            flags=tuple(flags))
 

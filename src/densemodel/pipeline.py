@@ -68,10 +68,6 @@ VARIANTS = tuple(_MODEL_CALLS)
 SELECTIONS = ("structured", "random")
 
 
-def report_schema_version() -> str:
-    return SCHEMA_VERSION
-
-
 @dataclass
 class PipelineConfig:
     """Every knob of one pipeline run; round-trips through flat key=value text."""
@@ -290,7 +286,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineReport:
               *model.claims, transfer.claim, threshold.claim, comparison.claim]
     ok = all(c.ok for c in claims if c.ok is not None)
     data = {
-        "schema": report_schema_version(),
+        "schema": SCHEMA_VERSION,
         "config": cfg.as_dict(),
         "majorant": {
             "mass": nu.l1_mass,

@@ -123,10 +123,6 @@ class PolyApprox:
     def __call__(self, x) -> np.ndarray:
         return _evaluate(self.series, self.linear, x)
 
-    def derivative_bound(self) -> float:
-        """Certified |P'| bound on [-1, 1] from the stable form."""
-        return _derivative_bound(self.series, self.linear)
-
     def as_dict(self) -> dict:
         return {
             "degree": self.degree,

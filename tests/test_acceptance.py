@@ -16,9 +16,7 @@ import pytest
 from densemodel.bohr import bohr_enumerate
 from densemodel.counting import (
     LinearForm,
-    count_brute,
     count_comparison,
-    count_spectral,
     count_weighted,
     threshold_extract,
     transfer_error_bound,
@@ -42,6 +40,7 @@ from densemodel.polyapprox import (
 from densemodel.signals import DiscreteSignal, FrequencyGrid, grid_fourier
 
 from conftest import record_acceptance
+from oracles import count_brute, count_spectral
 
 N_SPARSE = 2000
 DELTA = 0.5

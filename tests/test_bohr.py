@@ -69,12 +69,15 @@ class TestSpectrum:
         assert fine.M > coarse.M
         assert fine.M >= math.ceil(4 * math.pi * 100 / 0.05)
 
-    def test_cap_flags_or_raises(self) -> None:
+    def test_cap_flags_or_raises(self, monkeypatch) -> None:
+        import densemodel.bohr as bohr_mod
+
+        monkeypatch.setattr(bohr_mod, "M_CAP_DEFAULT", 64)
         nu = make_uniform(100)
-        spec = spectrum(nu.signal, nu, eta=0.1, m_cap=64)
+        spec = spectrum(nu.signal, nu, eta=0.1)
         assert spec.capped and spec.M == 64
         with pytest.raises(ResourceError):
-            spectrum(nu.signal, nu, eta=0.1, m_cap=64, strict=True)
+            spectrum(nu.signal, nu, eta=0.1, strict=True)
 
 
 class TestBohrEnumerate:
@@ -227,12 +230,15 @@ class TestFastSpectrumGrid:
         assert is_5_smooth(M) and M >= need
         assert not any(is_5_smooth(m) for m in range(need, M))
 
-    def test_cap_between_bound_and_rounding_holds_without_flag(self) -> None:
+    def test_cap_between_bound_and_rounding_holds_without_flag(self, monkeypatch) -> None:
         # ceil(4 pi 100 / 0.4) = 3142 fits the cap; only its rounding to 3200 does not
+        import densemodel.bohr as bohr_mod
+
+        monkeypatch.setattr(bohr_mod, "M_CAP_DEFAULT", 3150)
         nu = make_uniform(100)
-        spec = spectrum(nu.signal, nu, eta=0.4, m_cap=3150)
+        spec = spectrum(nu.signal, nu, eta=0.4)
         assert (spec.M, spec.capped) == (3150, False)
-        assert spectrum(nu.signal, nu, eta=0.4, m_cap=3150, strict=True).M == 3150
+        assert spectrum(nu.signal, nu, eta=0.4, strict=True).M == 3150
 
     def test_half_circle_representatives_give_the_same_bohr_set(self) -> None:
         nu = make_random_sparse(2000, 2 / 3, seed=7)

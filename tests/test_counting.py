@@ -7,13 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densemodel import signals
+from densemodel import counting, signals
 from densemodel.counting import (
     LinearForm,
-    count_brute,
     count_comparison,
-    count_integer,
-    count_spectral,
     count_weighted,
     threshold_extract,
     transfer_error_bound,
@@ -29,6 +26,7 @@ from densemodel.signals import (
     default_grid,
     fourier_sup_diff,
 )
+from oracles import count_brute, count_integer, count_spectral, reach
 
 
 def ap3_count(N: int) -> int:
@@ -175,15 +173,6 @@ class TestThreshold:
         rep = threshold_extract(g, delta=0.5, N=4)
         assert "density_precondition_failed" in rep.flags
 
-    def test_higher_moment_floor(self) -> None:
-        rng = np.random.default_rng(8)
-        g = DiscreteSignal(1, rng.random(200))
-        rep = threshold_extract(g, delta=0.5, N=200, variant_k=3)
-        # Hoelder: (delta/2)^k |window| <= sum over B of g^k <= C_k N
-        # so |B| >= ((delta/2)^k / C_k)^(1/(k-1)) N only after the split;
-        # the exact floor is still certified on the instance
-        assert rep.ok
-
     def test_indicator_matches_elements(self) -> None:
         g = DiscreteSignal(3, np.array([0.9, 0.1, 0.8]))
         rep = threshold_extract(g, delta=1.0, N=5)
@@ -268,6 +257,18 @@ class TestWrapModulus:
         rep = count_weighted(form, [a, b, a])
         assert rep.wrap_modulus == 27
         assert rep.total == pytest.approx(count_brute(form, [a, b, a]).total, abs=1e-9)
+
+    def test_spectral_oracle_keeps_its_own_modulus(self, monkeypatch) -> None:
+        # ones on [0, 9]: R = 18, and at W = R the tuples with x + y - 2z = +-18,
+        # (9, 9, 0) and (0, 0, 9), wrap onto 0; the oracle's W = R + 1 does not
+        form = LinearForm((1, 1, -2))
+        w = [DiscreteSignal(0, np.ones(10))] * 3
+        R = reach(form, w)
+        exact = count_spectral(form, w).total
+        assert count_weighted(form, w).total == pytest.approx(exact, abs=1e-9)
+        monkeypatch.setattr(counting, "_wrap_modulus", lambda form, weights: R)
+        assert count_weighted(form, w).total == pytest.approx(exact + 2, abs=1e-9)
+        assert count_spectral(form, w).total == pytest.approx(exact, abs=1e-9)
 
     @pytest.mark.parametrize("span, match", [(2, "exceeds cap"), (10, "below 2\\^63")])
     def test_huge_coefficients_refused(self, span, match) -> None:

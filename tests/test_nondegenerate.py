@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 import densemodel.pipeline as pipeline_mod
-from densemodel.counting import LinearForm, count_integer
+from densemodel.counting import LinearForm
 from densemodel.pipeline import PipelineConfig, run_pipeline
 from densemodel.signals import (
     DiscreteSignal,
@@ -34,6 +34,7 @@ from densemodel.signals import (
     grid_fourier,
     subtract,
 )
+from oracles import count_integer
 
 INSTANCES = {
     "N20000": dict(N=20000, eps=0.1, eta=0.1, seed=0, exponent=2 / 3),

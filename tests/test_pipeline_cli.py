@@ -24,19 +24,20 @@ from densemodel.errors import (
     ResourceError,
     ValidationError,
 )
-from densemodel.counting import LinearForm, count_brute, count_weighted
+from densemodel.counting import LinearForm, count_weighted
 from densemodel.pipeline import (
+    SCHEMA_VERSION,
     VARIANTS,
     PipelineConfig,
     build_majorant,
     canonical_json,
-    report_schema_version,
     run_model,
     run_pipeline,
     select_subset,
 )
 from densemodel.majorants import make_random_sparse
 from densemodel.signals import MAX_CONV_LENGTH, DiscreteSignal, read_csv
+from oracles import count_brute
 
 
 configs = st.builds(
@@ -129,7 +130,7 @@ class TestSubsetSelection:
 
 class TestPipeline:
     def test_schema_version(self) -> None:
-        assert report_schema_version() == "tlab-report/2"
+        assert SCHEMA_VERSION == "tlab-report/2"
         rep = run_pipeline(PipelineConfig(N=100, variant="green",
                                           eps=0.2, eta=0.2))
         assert rep.data["schema"] == "tlab-report/2"
@@ -190,6 +191,14 @@ class TestCli:
         assert main(["weierstrass", "--eps", "0.1"]) == EXIT_OK
         data = json.loads(capsys.readouterr().out)
         assert data["measured_sup_error"] <= 0.1
+
+    def test_weierstrass_takes_eps_or_n_terms_not_both(self, capsys) -> None:
+        # one of the two would be dropped without a word
+        with pytest.raises(SystemExit) as exc:
+            main(["weierstrass", "--eps", "0.5", "--n-terms", "3"])
+        assert exc.value.code == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == "" and "not allowed with" in err
 
     def test_majorant_to_count_workflow(self, tmp_path, capsys) -> None:
         nu_csv = str(tmp_path / "nu.csv")
@@ -762,6 +771,21 @@ class TestImportFootprint:
         assert smoothing == "[]"
         # the Hahn-Banach LP does load scipy, so the probe can see it
         assert int(after_hb) > 0
+
+    def test_pipeline_loads_no_cli_only_module(self) -> None:
+        code = (
+            "import sys\n"
+            "from densemodel.pipeline import PipelineConfig, run_pipeline\n"
+            "run_pipeline(PipelineConfig(N=300, variant='hdr', seed=1))\n"
+            "print(' '.join(sorted(k for k in sys.modules if k.startswith('densemodel'))))\n")
+        src = str(Path(densemodel.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", code],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        loaded = set(done.stdout.split())
+        assert "densemodel.pipeline" in loaded
+        assert not loaded & {"densemodel.convex", "densemodel.polyapprox"}
 
 
 class TestDegenerateFlags:

@@ -9,6 +9,7 @@ import pytest
 
 from densemodel.errors import ValidationError
 from densemodel.polyapprox import (
+    _derivative_bound,
     build_abs_approx,
     build_positive_part,
     taylor_coeff,
@@ -99,4 +100,4 @@ class TestPositivePart:
     def test_height_recorded(self) -> None:
         approx = build_positive_part(0.1)
         assert approx.height >= max(abs(c) for c in approx.coefficients) - 1e-12
-        assert approx.derivative_bound() > 0
+        assert _derivative_bound(approx.series, approx.linear) > 0
